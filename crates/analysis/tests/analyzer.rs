@@ -77,7 +77,7 @@ fn trailing_allow_covers_its_own_line_only_matching_rule() {
     assert_eq!(rules_of(&result.findings, "wall_clock"), 1);
 }
 
-/// The sharded-SM selection pattern from the engine: the accumulating
+/// A sharded selection pattern: the accumulating
 /// variant (workers folding picks into shared atomics/locked vecs) must
 /// fire `thread_accumulation`, while the commit-point variant (disjoint
 /// per-shard slots, serial commit) must scan clean.

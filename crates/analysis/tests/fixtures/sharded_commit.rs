@@ -1,7 +1,6 @@
-//! Sharded-commit fixture: the engine's sharded-SM selection pattern, in
-//! both the shape the `thread_accumulation` rule must flag and the
-//! commit-point shape it must accept. Not compiled — read as text by
-//! tests/analyzer.rs.
+//! Sharded-commit fixture: a sharded selection pattern, in both the shape
+//! the `thread_accumulation` rule must flag and the commit-point shape it
+//! must accept. Not compiled — read as text by tests/analyzer.rs.
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -26,7 +25,7 @@ pub struct SharedStats {
     pub picks: Mutex<Vec<u32>>,
 }
 
-/// The commit-point shape the engine actually uses: workers write
+/// The commit-point shape: workers write
 /// selections into disjoint spans of a pre-sized pick buffer (per-index
 /// slots, no shared mutable state), and a single serial pass afterwards
 /// applies every side effect in ascending shard order. Nothing here may

@@ -4,8 +4,8 @@
 //! Exercises the PR 10 fleet layer end to end on the Mix2 deployment:
 //! a routing comparison at fixed fleet cost (round-robin vs
 //! least-outstanding vs latency-aware on a heterogeneous wide/narrow
-//! fleet); an autoscale-vs-static comparison over a diurnal day tracking
-//! device-hours against SLA attainment; and a cost/SLA Pareto frontier
+//! fleet); an autoscale-vs-static comparison over a diurnal traffic curve
+//! tracking device time against SLA attainment; and a cost/SLA Pareto frontier
 //! over static fleet sizes. Emitted as machine-readable `BENCH_fleet.json`
 //! (override the path with the first CLI argument). Beyond the numbers
 //! the binary *asserts* the layer's headline contracts: every fleet run is
@@ -184,9 +184,11 @@ fn main() {
     doc.set("routing_comparison", Json::Arr(routing_points));
 
     // ---- autoscale vs static over a diurnal day ----
-    // A pool of three identical narrow replicas under a diurnal day whose
+    // A pool of three identical narrow replicas under a diurnal curve whose
     // peak overloads one replica and whose trough idles the fleet; sized
-    // so the day spans ~2 cycles of ~10 decision intervals each. Static
+    // so the traffic spans ~2 cycles of ~10 decision intervals each. The
+    // "day" is compressed: one cycle lasts `period_s` of simulated time,
+    // on the order of 100 µs at test scale. Static
     // provisioning keeps all three lit all day; reactive autoscaling
     // follows the curve.
     let day_requests = 2_048u32;
@@ -257,14 +259,20 @@ fn main() {
     println!(
         "fleet study on {} (capacity {:.0} qps/replica): narrow-replica share \
          {}/{}/{} of {requests} under round-robin/least-outstanding/latency-aware; \
-         diurnal day {:.4} device-hours static vs {:.4} autoscaled \
-         ({} scale events); Pareto frontier over static sizes: {:?}; wrote {out_path}",
+         diurnal curve compressed to a {:.0} µs period ({:.0} µs simulated): \
+         {:.1} device-µs ({:.2e} device-hours) static vs {:.1} device-µs ({:.2e}) \
+         autoscaled ({} scale events); Pareto frontier over static sizes: {:?}; \
+         wrote {out_path}",
         HeterogeneousMix::paper_mix(MixKind::Mix2, 0.02).name(),
         capacity,
         narrow_share[0],
         narrow_share[1],
         narrow_share[2],
+        period_s * 1e6,
+        static_report.makespan_us,
+        static_report.cost.device_us,
         static_report.cost.device_hours,
+        autoscaled_report.cost.device_us,
         autoscaled_report.cost.device_hours,
         autoscaled_report.autoscale_events.len(),
         frontier,

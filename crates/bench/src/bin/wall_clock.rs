@@ -1,6 +1,6 @@
 //! Engine wall-clock benchmark.
 //!
-//! Measures the `benches/campaign.rs` grid and an A100 Default-scale kernel
+//! Measures a test-scale campaign grid and an A100 Default-scale kernel
 //! cell under both engine modes, plus the campaign-cache steady state, and
 //! emits machine-readable `BENCH_engine.json` (override the path with the
 //! first CLI argument) with total wall-clock and cells/sec per
@@ -8,10 +8,9 @@
 //!
 //! The cycle-accurate reference mode preserves the pre-PR poll-every-cycle
 //! loop, so `reference_*` numbers stand in for the pre-PR engine; the
-//! headline `campaign_bench_speedup` compares what the criterion bench
-//! actually measures — repeated `Campaign::run` iterations — between the
-//! reference engine without caching and the event-driven engine with the
-//! result cache attached.
+//! headline `campaign_bench_speedup` compares repeated `Campaign::run`
+//! iterations of that grid between the reference engine without caching
+//! and the event-driven engine with the result cache attached.
 //!
 //! Reports follow the `perf-envelope/bench-engine/v2` schema: cold-cell
 //! throughput (`cells_per_sec`, `simulated_cycles_per_sec`), the frozen v1
@@ -23,21 +22,25 @@
 
 use std::time::Instant;
 
-use bench::options::campaign_bench_grid;
 use bench::report::{cold_cell_baseline, ColdCellBaseline, SCHEMA_V2};
 use dlrm::WorkloadScale;
 use dlrm_datasets::AccessPattern;
 use gpu_sim::{EngineMode, GpuConfig, Simulator};
 use perf_envelope::json::Json;
-use perf_envelope::{Campaign, CampaignCache, Experiment, Scheme};
+use perf_envelope::{Campaign, CampaignCache, Experiment, Scheme, Workload};
 
-/// How many times the criterion bench iterates the grid per sample.
+/// How many times the campaign bench iterates the grid per sample.
 const BENCH_ITERATIONS: usize = 10;
 
-/// The `benches/campaign.rs` grid (shared definition), serialized to one
-/// worker so the numbers isolate engine and cache effects.
+/// The campaign bench grid: every evaluated access pattern as an
+/// embedding-stage workload × the base, OptMT and combined schemes,
+/// serialized to one worker so the numbers isolate engine and cache
+/// effects.
 fn grid(experiment: Experiment) -> Campaign {
-    campaign_bench_grid(experiment).threads(1)
+    Campaign::new(experiment)
+        .workloads(AccessPattern::EVALUATED.map(Workload::stage))
+        .schemes([Scheme::base(), Scheme::optmt(), Scheme::combined()])
+        .threads(1)
 }
 
 fn test_experiment(mode: EngineMode) -> Experiment {
@@ -72,7 +75,7 @@ fn main() {
         grid(test_experiment(EngineMode::EventDriven)).run();
     });
 
-    // ---- the criterion-bench workload: repeated grid iterations ----
+    // ---- the campaign bench: repeated grid iterations ----
     let reference_total = time_s(|| {
         for _ in 0..BENCH_ITERATIONS {
             grid(test_experiment(EngineMode::CycleAccurate)).run();

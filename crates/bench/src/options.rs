@@ -131,19 +131,6 @@ impl HarnessOptions {
     }
 }
 
-/// The grid measured by both the `campaign` criterion bench and the
-/// `wall_clock` binary (which emits `BENCH_engine.json`): every evaluated
-/// access pattern as an embedding-stage workload × the base, OptMT and
-/// combined schemes. One definition so the two benchmarks cannot drift
-/// apart.
-pub fn campaign_bench_grid(experiment: Experiment) -> Campaign {
-    use dlrm_datasets::AccessPattern;
-    use perf_envelope::{Scheme, Workload};
-    Campaign::new(experiment)
-        .workloads(AccessPattern::EVALUATED.map(Workload::stage))
-        .schemes([Scheme::base(), Scheme::optmt(), Scheme::combined()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::json::{Json, JsonError};
 use crate::report::RunReport;
@@ -62,11 +62,67 @@ pub const CAMPAIGN_CACHE_SCHEMA: &str = "perf-envelope/campaign-cache/v1";
 /// cluster topology and model configuration, scale, engine mode).
 #[derive(Debug, Default)]
 pub struct CampaignCache {
-    // audit:allow(unordered_collection): keyed fingerprint lookups only;
-    // to_json sorts cells by key before rendering
-    map: Mutex<HashMap<String, RunReport>>,
+    cells: Mutex<Cells>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// The cache contents, behind one lock so a lookup sees finished and
+/// in-flight cells consistently.
+#[derive(Debug, Default)]
+struct Cells {
+    // audit:allow(unordered_collection): keyed fingerprint lookups only;
+    // to_json sorts cells by key before rendering
+    done: HashMap<String, RunReport>,
+    // audit:allow(unordered_collection): keyed lookups only, never iterated
+    in_flight: HashMap<String, Arc<Flight>>,
+}
+
+/// A cold cell one thread is simulating while other requesters wait.
+#[derive(Debug, Default)]
+struct Flight {
+    settled: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Flight {
+    /// Blocks until the simulating thread is done with the cell, whether
+    /// it cached a report or panicked.
+    fn wait(&self) {
+        let settled = self.settled.lock().expect("flight poisoned");
+        let _settled = self
+            .wake
+            .wait_while(settled, |settled| !*settled)
+            .expect("flight poisoned");
+    }
+}
+
+/// Held by the thread simulating a cold cell. Dropping it, after the
+/// report is cached or while a panic unwinds, ends the flight and wakes
+/// the waiters, which then look the cell up again.
+struct Leader<'a> {
+    cache: &'a CampaignCache,
+    key: &'a str,
+    flight: Arc<Flight>,
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        // Runs while a panic unwinds, so it must not panic on a poisoned
+        // lock; each update below leaves the data valid on its own.
+        self.cache
+            .cells
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .in_flight
+            .remove(self.key);
+        *self
+            .flight
+            .settled
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = true;
+        self.flight.wake.notify_all();
+    }
 }
 
 impl CampaignCache {
@@ -76,9 +132,16 @@ impl CampaignCache {
         Arc::new(Self::default())
     }
 
+    fn lock_cells(&self) -> std::sync::MutexGuard<'_, Cells> {
+        self.cells.lock().expect("cache poisoned")
+    }
+
     /// Returns the cached report for the cell, or runs it and caches the
-    /// result. Two workers racing on the same cold cell both execute it;
-    /// determinism makes the duplicate insert harmless.
+    /// result. Each cell is simulated once: a thread requesting a cell
+    /// that another thread is simulating waits for that result (and counts
+    /// a hit), so `misses()` equals the number of distinct cells at any
+    /// thread count. If the simulating thread panics, its waiters retry
+    /// the cell themselves.
     pub(crate) fn get_or_run(
         &self,
         experiment: &Experiment,
@@ -86,20 +149,33 @@ impl CampaignCache {
         scheme: &Scheme,
     ) -> RunReport {
         let key = experiment.cell_fingerprint(workload, scheme);
-        if let Some(report) = self.map.lock().expect("cache poisoned").get(&key) {
-            // audit:allow(thread_accumulation): monotonic counter; the total
-            // is order-insensitive and never feeds a simulated result
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return report.clone();
+        loop {
+            let mut cells = self.lock_cells();
+            if let Some(report) = cells.done.get(&key) {
+                // audit:allow(thread_accumulation): monotonic counter; the total
+                // is order-insensitive and never feeds a simulated result
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return report.clone();
+            }
+            if let Some(flight) = cells.in_flight.get(&key).cloned() {
+                drop(cells);
+                flight.wait();
+                continue;
+            }
+            let flight = Arc::new(Flight::default());
+            cells.in_flight.insert(key.clone(), flight.clone());
+            drop(cells);
+            // audit:allow(thread_accumulation): monotonic counter, order-insensitive
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            let _leader = Leader {
+                cache: self,
+                key: &key,
+                flight,
+            };
+            let report = experiment.run_uncached(workload, scheme);
+            self.lock_cells().done.insert(key.clone(), report.clone());
+            return report;
         }
-        // audit:allow(thread_accumulation): monotonic counter, order-insensitive
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let report = experiment.run_uncached(workload, scheme);
-        self.map
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, report.clone());
-        report
     }
 
     /// Number of requests served from cache.
@@ -114,7 +190,7 @@ impl CampaignCache {
 
     /// Number of distinct cells currently cached.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache poisoned").len()
+        self.lock_cells().done.len()
     }
 
     /// Whether the cache holds no cells.
@@ -124,7 +200,7 @@ impl CampaignCache {
 
     /// Drops every cached report (statistics are preserved).
     pub fn clear(&self) {
-        self.map.lock().expect("cache poisoned").clear();
+        self.lock_cells().done.clear();
     }
 
     /// Serializes the cache as a JSON document: every cell's canonical
@@ -132,9 +208,8 @@ impl CampaignCache {
     /// rendering is stable for identical contents.
     pub fn to_json(&self) -> String {
         let mut cells: Vec<(String, RunReport)> = self
-            .map
-            .lock()
-            .expect("cache poisoned")
+            .lock_cells()
+            .done
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
@@ -192,7 +267,10 @@ impl CampaignCache {
             map.insert(key.to_string(), RunReport::from_json_value(report)?);
         }
         Ok(Arc::new(CampaignCache {
-            map: Mutex::new(map),
+            cells: Mutex::new(Cells {
+                done: map,
+                ..Cells::default()
+            }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }))
@@ -357,6 +435,70 @@ mod tests {
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 2);
         assert_eq!(run.reports()[0], run.reports()[2]);
+    }
+
+    #[test]
+    fn concurrent_requests_for_a_cold_cell_simulate_it_once() {
+        let cache = CampaignCache::new();
+        let e = cached_experiment(&cache);
+        let w = Workload::kernel(AccessPattern::MedHot);
+        let barrier = std::sync::Barrier::new(8);
+        let reports: Vec<RunReport> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        e.run(&w, &Scheme::base())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!((cache.misses(), cache.hits()), (1, 7));
+        assert!(reports.iter().all(|r| *r == reports[0]));
+    }
+
+    #[test]
+    fn waiters_retry_a_cell_whose_simulation_panicked() {
+        let cache = CampaignCache::new();
+        let e = cached_experiment(&cache);
+        let w = Workload::kernel(AccessPattern::MedHot);
+        let key = e.cell_fingerprint(&w, &Scheme::base());
+        let flight = Arc::new(Flight::default());
+        cache
+            .lock_cells()
+            .in_flight
+            .insert(key.clone(), flight.clone());
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| e.run(&w, &Scheme::base()));
+            // The waiter holds its own handle on the flight once it found
+            // the cell in flight (map entry + ours + the waiter's).
+            while Arc::strong_count(&flight) < 3 {
+                std::thread::yield_now();
+            }
+            // Stand in for a simulating thread that panics: dropping an
+            // unfinished leader abandons the flight and wakes the waiter.
+            drop(Leader {
+                cache: &cache,
+                key: &key,
+                flight,
+            });
+            assert_eq!(waiter.join().unwrap(), e.run(&w, &Scheme::base()));
+        });
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn load_rejects_hostile_nesting_without_aborting() {
+        let path = std::env::temp_dir().join(format!(
+            "perf-envelope-cache-nesting-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, "[".repeat(100_000)).unwrap();
+        let loaded = CampaignCache::load_from(&path);
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(loaded, Err(CacheLoadError::Json(_))));
     }
 
     #[test]

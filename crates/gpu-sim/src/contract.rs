@@ -17,8 +17,7 @@
 //!    cycle `t` must not be ready before `t + 1`.
 //! 4. **Drain order** — within one cycle, sub-partitions issue in
 //!    ascending `(sm, smsp)` order, which is what keeps memory-system
-//!    side effects in the same order in both loops (and is what the
-//!    sharded issue phase's serial commit point must reproduce).
+//!    side effects in the same order in both loops.
 //! 5. **Monotone clock** — the engine clock never moves backwards.
 //!
 //! The checker reads the same struct-of-arrays slot state the schedulers

@@ -60,35 +60,25 @@
 //!    `t + 1` or later, so a dispatch can never add work to the cycle that
 //!    triggered it.
 //!
-//! # Sharded issue and the commit-point rule
+//! # The fused issue loop
 //!
-//! Invariant 3 plus the purity of [`Schedulers::select`] give the
-//! event-driven loop a parallel phase: selection at cycle `t` for a
-//! sub-partition depends only on that sub-partition's own slots and greedy
-//! pointer, and nothing another sub-partition issues at `t` can change it
-//! (issues free only the issuing slot; replacement dispatches create warps
-//! ready at `t + 1`). The loop therefore
+//! Each clock step of the event-driven loop drains the wheel row of the
+//! next deadline `t` and walks its bits in ascending flat order, which is
+//! ascending `(sm, smsp)` order. For every scheduled sub-partition one pass
+//! over its slot range ([`Schedulers::select_and_min`]) both picks the warp
+//! and finds the minimum `ready_at` of the other slots, and the commit
+//! that follows at once issues the pick and re-arms the sub-partition's
+//! deadline from that minimum, so re-arming needs no second scan.
 //!
-//! 1. collects every sub-partition scheduled at `t` (ascending flat order),
-//! 2. computes all of their selections — optionally sharded across
-//!    [`EngineTuning::sm_workers`] threads, each writing a disjoint span of
-//!    the pick buffer, with **no shared mutable state**, and
-//! 3. commits serially, in ascending `(sm, smsp)` order, at a single
-//!    serialization point: every memory-system side effect, counter update
-//!    and replacement dispatch happens here, in exactly the order the
-//!    cycle-accurate loop would produce.
-//!
-//! Step 3 is the **commit-point rule**: anything that mutates shared state
-//! must run inside the serial commit in ascending `(sm, smsp)` order. That
-//! makes [`KernelStats`] byte-identical regardless of `sm_workers` — the
-//! thread count can only change wall-clock time, never results.
-//!
-//! With `sm_workers <= 1` the loop takes a fused serial path instead:
-//! one pass over each drained sub-partition both selects the warp and
-//! computes the minimum `ready_at` of the remaining slots
-//! ([`WarpSlots::select_with_min`]), so re-arming needs no second scan.
-//! Both paths commit through the same `commit_candidate`, so they are
-//! trivially bit-identical.
+//! Selection and commit are fused per sub-partition, so each selection
+//! runs after every earlier commit of the same step. A replacement block
+//! that an earlier commit dispatched into a later sub-partition is
+//! therefore already in that sub-partition's slot range when it is
+//! scanned: by invariant 3 its warps cannot change the pick, but they do
+//! enter the re-arm minimum. Every memory-system side effect, counter
+//! update and dispatch happens inside the commit, in exactly the order the
+//! cycle-accurate loop produces. Parallelism lives above the engine,
+//! across campaign cells and cluster shards, never inside one run.
 //!
 //! # Concurrent kernel streams
 //!
@@ -157,28 +147,6 @@ impl EngineMode {
     }
 }
 
-/// Performance knobs that cannot affect simulation results.
-///
-/// Every field of this struct is constrained by the engine's commit-point
-/// rule (see the module documentation): tuning may change how fast the
-/// simulator runs, never what it computes. [`KernelStats`] are byte-identical
-/// across all tunings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineTuning {
-    /// Worker threads for the event-driven loop's parallel selection phase.
-    /// `1` (the default) keeps the engine single-threaded; `0` uses one
-    /// worker per available core. Leave at `1` when the caller already
-    /// parallelizes over simulations (e.g. a campaign running cells on a
-    /// thread pool) — nesting multiplies thread counts.
-    pub sm_workers: usize,
-}
-
-impl Default for EngineTuning {
-    fn default() -> Self {
-        EngineTuning { sm_workers: 1 }
-    }
-}
-
 /// How K co-resident kernel streams share one device in
 /// [`Simulator::run_concurrent`]; see the module documentation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -221,7 +189,6 @@ impl std::fmt::Display for StreamPartition {
 pub struct Simulator {
     cfg: GpuConfig,
     mode: EngineMode,
-    tuning: EngineTuning,
     /// Recycled engine state: arenas, queues and scratch buffers sized by
     /// the previous run, handed back at run end so repeated cells skip
     /// re-allocation. `None` until the first run (or while a run borrows
@@ -239,7 +206,6 @@ impl std::fmt::Debug for Simulator {
         f.debug_struct("Simulator")
             .field("cfg", &self.cfg)
             .field("mode", &self.mode)
-            .field("tuning", &self.tuning)
             .finish()
     }
 }
@@ -249,7 +215,6 @@ impl Clone for Simulator {
         Simulator {
             cfg: self.cfg.clone(),
             mode: self.mode,
-            tuning: self.tuning,
             // The workspace is a cache, not state: clones start cold.
             ws: Mutex::new(None),
             #[cfg(all(test, feature = "contract-checks"))]
@@ -265,7 +230,6 @@ impl Simulator {
         Simulator {
             cfg,
             mode: EngineMode::EventDriven,
-            tuning: EngineTuning::default(),
             ws: Mutex::new(None),
             #[cfg(all(test, feature = "contract-checks"))]
             double_issue_sabotage: false,
@@ -286,21 +250,6 @@ impl Simulator {
         self
     }
 
-    /// Returns a copy of this simulator using the given tuning. Tuning can
-    /// only change wall-clock speed, never results (see [`EngineTuning`]).
-    pub fn with_tuning(mut self, tuning: EngineTuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
-    /// Returns a copy of this simulator using `workers` threads for the
-    /// event-driven selection phase (see [`EngineTuning::sm_workers`]).
-    pub fn with_sm_workers(self, workers: usize) -> Self {
-        self.with_tuning(EngineTuning {
-            sm_workers: workers,
-        })
-    }
-
     /// The engine mode this simulator runs.
     pub fn mode(&self) -> EngineMode {
         self.mode
@@ -309,11 +258,6 @@ impl Simulator {
     /// The device configuration this simulator uses.
     pub fn config(&self) -> &GpuConfig {
         &self.cfg
-    }
-
-    /// The performance tuning this simulator runs with.
-    pub fn tuning(&self) -> EngineTuning {
-        self.tuning
     }
 
     /// Borrows the recycled workspace (fresh if this is the first run or
@@ -398,13 +342,9 @@ impl Simulator {
             );
         }
 
-        let workers = match self.tuning.sm_workers {
-            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-            w => w,
-        };
         let start_snap = MemSnapshot::take(mem);
         let mut ws = self.take_workspace();
-        let mut run = Run::new(&self.cfg, kernels, partition, start_cycle, &mut ws, workers);
+        let mut run = Run::new(&self.cfg, kernels, partition, start_cycle, &mut ws);
         #[cfg(all(test, feature = "contract-checks"))]
         {
             run.double_issue = self.double_issue_sabotage;
@@ -504,16 +444,6 @@ struct EngineWorkspace {
     wheel: DeadlineWheel,
     /// Scratch: the deadline row being drained.
     row: Vec<u64>,
-    /// Scratch: flat sub-partition ids scheduled at the cycle being drained,
-    /// in ascending order.
-    candidates: Vec<u32>,
-    /// Scratch: the slot each candidate selected (`u32::MAX` = none),
-    /// aligned with `candidates`.
-    picks: Vec<u32>,
-    /// Scratch: minimum ready cycle over each candidate's non-picked slots
-    /// (`u64::MAX` = none), aligned with `candidates`; produced by the same
-    /// selection scan and consumed by the commit's deadline re-arm.
-    mins: Vec<u64>,
     /// `(smsp, slot)` placements of the most recent block dispatch
     /// (`u32::MAX` slot = the warp exited at spawn and claimed no slot).
     placements: Vec<(usize, u32)>,
@@ -546,9 +476,6 @@ impl EngineWorkspace {
         self.sched.resize(n, u64::MAX);
         self.wheel.reset(n, start_cycle);
         self.row.clear();
-        self.candidates.clear();
-        self.picks.clear();
-        self.mins.clear();
         self.placements.clear();
         self.sm_of.clear();
         self.sm_of
@@ -593,8 +520,6 @@ struct Run<'a> {
     /// The simulator's recycled arenas and scratch buffers.
     ws: &'a mut EngineWorkspace,
     active_warps: u64,
-    /// Threads for the event-driven selection phase (1 = inline).
-    workers: usize,
     /// Scheduler-contract checker; a zero-sized no-op unless the
     /// `contract-checks` feature is enabled.
     contract: EngineContract,
@@ -610,7 +535,6 @@ impl<'a> Run<'a> {
         partition: StreamPartition,
         start_cycle: u64,
         ws: &'a mut EngineWorkspace,
-        workers: usize,
     ) -> Self {
         let k = kernels.len();
         // Contiguous, near-even SM split for partitioned streams; every
@@ -690,7 +614,6 @@ impl<'a> Run<'a> {
             label,
             ws,
             active_warps: 0,
-            workers,
             contract: EngineContract::new(cfg.num_sms, cfg.smsps_per_sm, start_cycle),
             #[cfg(all(test, feature = "contract-checks"))]
             double_issue: false,
@@ -955,11 +878,10 @@ impl<'a> Run<'a> {
     }
 
     /// The event-driven loop: jump the clock straight to the earliest
-    /// deadline in the calendar wheel, compute every scheduled
-    /// sub-partition's selection (in parallel when `workers > 1`), then
-    /// commit the issues serially in ascending `(sm, smsp)` order. See the
-    /// module documentation for why this is bit-exact with
-    /// [`Run::run_cycle_accurate`] at every thread count.
+    /// deadline in the calendar wheel, then select and commit every
+    /// sub-partition scheduled there in ascending `(sm, smsp)` order. See
+    /// the module documentation for why this is bit-exact with
+    /// [`Run::run_cycle_accurate`].
     fn run_event_driven(&mut self, mem: &mut MemorySystem, start_cycle: u64) -> u64 {
         let mut cycle = start_cycle;
         self.reschedule_all(cycle);
@@ -990,68 +912,25 @@ impl<'a> Run<'a> {
                 mem.retire_completed_fills(t);
             }
 
-            if self.workers <= 1 {
-                // Fused serial path: select and commit each scheduled
-                // sub-partition inline while walking the row bits (same
-                // ascending (sm, smsp) order), skipping the candidates/
-                // picks round trip entirely. Bit-exact with the sharded
-                // path below because selection is sub-partition-local and
-                // an issue at `t` only creates or changes deadlines at
-                // `t + 1` or later, so a later candidate's selection is
-                // unaffected by an earlier commit in the same cycle.
-                self.ws.wheel.take_row_into(t, &mut self.ws.row);
-                let n_words = self.ws.row.len();
-                for w in 0..n_words {
-                    let mut bits = self.ws.row[w];
-                    while bits != 0 {
-                        let b = bits & bits.wrapping_neg();
-                        bits ^= b;
-                        let idx = w * 64 + b.trailing_zeros() as usize;
-                        // Every bit in a row returned by `next_deadline` is
-                        // verified live, and a drained row cannot be
-                        // re-entered (see `wheel.rs` invariants), so no
-                        // staleness filter is needed here.
-                        debug_assert_eq!(self.ws.sched[idx], t, "stale bit in drained wheel row");
-                        let (pick, min_others) =
-                            self.ws.sched_state.select_and_min(&self.ws.slots, idx, t);
-                        self.commit_candidate(idx, pick, min_others, t, mem);
-                    }
-                }
-            } else {
-                // Phase 0: collect the sub-partitions scheduled at `t` from
-                // the wheel row, ascending bit order = ascending (sm, smsp)
-                // order.
-                {
-                    let ws = &mut *self.ws;
-                    ws.wheel.take_row_into(t, &mut ws.row);
-                    ws.candidates.clear();
-                    for (w, &word) in ws.row.iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let b = bits & bits.wrapping_neg();
-                            let idx = w * 64 + b.trailing_zeros() as usize;
-                            if ws.sched[idx] == t {
-                                ws.candidates.push(idx as u32);
-                            }
-                            bits ^= b;
-                        }
-                    }
-                }
-
-                // Phase 1: pure selection for every candidate
-                // (parallelizable because selection is sub-partition-local;
-                // see `sm.rs`).
-                self.select_batch(t);
-
-                // Phase 2: serial commit in ascending (sm, smsp) order —
-                // the single serialization point for memory-system side
-                // effects. Dispatches triggered here only create deadlines
-                // at `t + 1` or later (invariant 3), so the candidate batch
-                // is stable.
-                for i in 0..self.ws.candidates.len() {
-                    let idx = self.ws.candidates[i] as usize;
-                    let pick = self.ws.picks[i];
-                    let min_others = self.ws.mins[i];
+            // Select and commit each scheduled sub-partition inline while
+            // walking the row bits (ascending (sm, smsp) order). Selection
+            // is sub-partition-local and an issue at `t` only creates or
+            // changes deadlines at `t + 1` or later, so an earlier commit
+            // in the same cycle cannot change a later pick.
+            self.ws.wheel.take_row_into(t, &mut self.ws.row);
+            for w in 0..self.ws.row.len() {
+                let mut bits = self.ws.row[w];
+                while bits != 0 {
+                    let b = bits & bits.wrapping_neg();
+                    bits ^= b;
+                    let idx = w * 64 + b.trailing_zeros() as usize;
+                    // Every bit in a row returned by `next_deadline` is
+                    // verified live, and a drained row cannot be re-entered
+                    // (see `wheel.rs` invariants), so no staleness filter is
+                    // needed here.
+                    debug_assert_eq!(self.ws.sched[idx], t, "stale bit in drained wheel row");
+                    let (pick, min_others) =
+                        self.ws.sched_state.select_and_min(&self.ws.slots, idx, t);
                     self.commit_candidate(idx, pick, min_others, t, mem);
                 }
             }
@@ -1132,6 +1011,9 @@ impl<'a> Run<'a> {
                         // re-arm below instead of writing `sched` twice.
                         min_after = min_after.min(ready);
                     } else if ready < self.ws.sched[pidx] {
+                        // A sub-partition still pending at `t` keeps its
+                        // deadline (`ready > t`); its own selection scan
+                        // runs after this commit and sees the new warp.
                         self.ws.sched[pidx] = ready;
                         self.ws.wheel.note(pidx, ready);
                     }
@@ -1145,50 +1027,6 @@ impl<'a> Run<'a> {
             let next = min_after.max(t + 1);
             self.ws.sched[idx] = next;
             self.ws.wheel.note(idx, next);
-        }
-    }
-
-    /// Computes the selection of every candidate sub-partition at cycle `t`
-    /// into the aligned `picks` buffer. Sharded across `self.workers`
-    /// scoped threads when there is enough work — each worker reads the
-    /// shared slot arena and greedy pointers immutably and writes a
-    /// disjoint span of `picks`, so the result is identical at any thread
-    /// count (and no synchronization beyond the scope join exists).
-    fn select_batch(&mut self, t: u64) {
-        /// Below this many candidates the spawn cost dwarfs the work.
-        const SHARD_MIN_BATCH: usize = 2;
-        let workers = self.workers;
-        let ws = &mut *self.ws;
-        let n = ws.candidates.len();
-        ws.picks.clear();
-        ws.picks.resize(n, u32::MAX);
-        ws.mins.clear();
-        ws.mins.resize(n, u64::MAX);
-        let slots = &ws.slots;
-        let sched_state = &ws.sched_state;
-        let candidates = &ws.candidates[..];
-        let picks = &mut ws.picks[..];
-        let mins = &mut ws.mins[..];
-        let fill = |cand: &[u32], out: &mut [u32], out_min: &mut [u64]| {
-            for ((c, o), m) in cand.iter().zip(out.iter_mut()).zip(out_min.iter_mut()) {
-                let (pick, min_others) = sched_state.select_and_min(slots, *c as usize, t);
-                *o = pick;
-                *m = min_others;
-            }
-        };
-        if workers > 1 && n >= SHARD_MIN_BATCH {
-            let chunk = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for ((cand, out), out_min) in candidates
-                    .chunks(chunk)
-                    .zip(picks.chunks_mut(chunk))
-                    .zip(mins.chunks_mut(chunk))
-                {
-                    scope.spawn(move || fill(cand, out, out_min));
-                }
-            });
-        } else {
-            fill(candidates, picks, mins);
         }
     }
 
@@ -1469,20 +1307,6 @@ mod tests {
             assert_eq!(format!("{p}"), p.name());
         }
         assert_eq!(StreamPartition::from_name("bogus"), None);
-    }
-
-    #[test]
-    fn sharded_issue_is_thread_count_invariant() {
-        let cfg = GpuConfig::test_small();
-        let launch = KernelLaunch::new("shard", 12, 256).with_regs_per_thread(32);
-        let kernel = PointerChaseKernel::new(24, 1 << 22);
-        let baseline = Simulator::new(cfg.clone()).run(&launch, &kernel);
-        assert_eq!(Simulator::new(cfg.clone()).tuning().sm_workers, 1);
-        for workers in [1usize, 2, 8] {
-            let sim = Simulator::new(cfg.clone()).with_sm_workers(workers);
-            let stats = sim.run(&launch, &kernel);
-            assert_eq!(stats, baseline, "sm_workers={workers} changed the results");
-        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod warp;
 pub(crate) mod wheel;
 
 pub use config::{CacheConfig, DramConfig, GpuConfig};
-pub use engine::{EngineMode, EngineTuning, Simulator, StreamPartition};
+pub use engine::{EngineMode, Simulator, StreamPartition};
 pub use isa::{Instruction, LineSet, MemSpace, PrefetchTarget, Reg};
 pub use launch::{KernelLaunch, KernelProgram, WarpInfo, WarpProgram};
 pub use occupancy::Occupancy;

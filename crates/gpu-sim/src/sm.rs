@@ -15,12 +15,12 @@
 //! greedy pointer, never on what other sub-partitions issue at `t` —
 //! dispatches triggered by an issue at `t` create warps that are ready at
 //! `t + 1` or later, so they cannot change any same-cycle selection. This
-//! is the property that lets the engine compute selections for a whole
-//! clock step in parallel and commit them serially in ascending
-//! `(sm, smsp)` order with bit-identical results (see `engine.rs`).
+//! is the property that lets the event-driven loop select and commit one
+//! sub-partition at a time, in ascending `(sm, smsp)` order, with results
+//! bit-identical to the cycle-accurate loop (see `engine.rs`).
 //!
-//! [`Schedulers::select_and_min`] is the fused variant used by the serial
-//! engine path: the same selection plus the minimum `ready_at` over the
+//! [`Schedulers::select_and_min`] is the fused variant used by the
+//! event-driven loop: the same selection plus the minimum `ready_at` over the
 //! sub-partition's *other* slots, from one pass — the engine folds the
 //! picked warp's post-issue readiness into that minimum to re-arm the
 //! deadline queue without a second scan.

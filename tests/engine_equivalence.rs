@@ -236,26 +236,26 @@ fn l2_pinned_chained_kernels_match_under_two_interleaved_streams() {
 }
 
 #[test]
-fn sharded_selection_is_thread_count_invariant() {
-    // The sharded SM phase must produce byte-identical statistics at any
-    // worker count; 1 exercises the fused serial path, 2 and 8 the sharded
-    // path with fewer and more workers than sub-partition batches.
-    let embedding = EmbeddingConfig::new(TraceConfig::new(20_000, 64, 10), 64);
-    let workload = EmbeddingWorkload::generate(embedding, AccessPattern::Random, 0, 0xE5);
-    let spec = EmbeddingKernelSpec::base().with_max_registers(48);
-    let cfg = GpuConfig::test_small();
-    let launch = spec.launch(&workload);
-    let kernel = spec.kernel(&workload);
-
-    let reference = Simulator::new(cfg.clone())
-        .with_mode(EngineMode::CycleAccurate)
-        .run(&launch, &kernel);
-    for workers in [1usize, 2, 8] {
-        let event = Simulator::new(cfg.clone())
-            .with_mode(EngineMode::EventDriven)
-            .with_sm_workers(workers)
-            .run(&launch, &kernel);
-        assert_equivalent(&reference, &event, &format!("workers={workers}"));
+fn a100_default_scale_kernels_match() {
+    // The anchor at a realistic scale: A100 with the default workload
+    // (108 SMs, thousands of resident warps, many sub-partitions draining
+    // per clock step and replacement blocks landing mid-step), where
+    // `test_small` cells are too small to expose ordering bugs.
+    let event = Experiment::new(GpuConfig::a100(), WorkloadScale::Default);
+    let reference = event.clone().with_engine_mode(EngineMode::CycleAccurate);
+    for (pattern, scheme) in [
+        (AccessPattern::MedHot, Scheme::base()),
+        (AccessPattern::Random, Scheme::combined()),
+    ] {
+        let workload = Workload::kernel(pattern);
+        let a = reference.run(&workload, &scheme);
+        let b = event.run(&workload, &scheme);
+        assert_equivalent(
+            &a.stats,
+            &b.stats,
+            &format!("A100 default {workload}/{scheme}"),
+        );
+        assert_eq!(a, b, "reports diverged on A100 default {workload}/{scheme}");
     }
 }
 
