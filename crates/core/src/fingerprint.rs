@@ -643,4 +643,93 @@ mod tests {
             )
         );
     }
+
+    /// Golden cell keys: the rendered bytes of one cell per fingerprint
+    /// axis, pinned under schema `perf-envelope/cell-fingerprint/v1`. Any
+    /// byte change here orphans every persisted cache, so a failure means
+    /// the encoding changed and the schema must be bumped, not the
+    /// expectation edited.
+    #[test]
+    fn cell_keys_are_byte_identical_to_v1() {
+        use crate::fleet::{AutoscalePolicy, Fleet, ReplicaGroup, RoutingPolicy};
+        use crate::runner::Experiment;
+        use crate::scheme::{Multithreading, Scheme};
+        use crate::serving::{
+            BatchingPolicy, FaultEvent, FaultPlan, ServingScenario, TrafficModel,
+        };
+        use crate::topology::{Cluster, InterconnectConfig, ShardingSpec, StreamConfig};
+        use crate::workload::Workload;
+        use dlrm::WorkloadScale;
+        use dlrm_datasets::{AccessPattern, HeterogeneousMix, MixKind};
+        use embedding_kernels::{BufferStation, PrefetchConfig};
+        use gpu_sim::{GpuConfig, StreamPartition};
+
+        let small = || Experiment::new(GpuConfig::test_small(), WorkloadScale::Test);
+        let kernel = small().fingerprint(&Workload::kernel(AccessPattern::MedHot), &Scheme::base());
+        let nvlink_stage = small()
+            .with_cluster(Cluster::homogeneous(
+                GpuConfig::test_small(),
+                2,
+                InterconnectConfig::nvlink3(),
+            ))
+            .fingerprint(
+                &Workload::stage(HeterogeneousMix::paper_mix(MixKind::Mix2, 0.02))
+                    .with_sharding(ShardingSpec::HotCold),
+                &Scheme::combined(),
+            );
+        let streams = small()
+            .with_streams(StreamConfig::new(2, StreamPartition::Interleaved))
+            .fingerprint(&Workload::stage(AccessPattern::MedHot), &Scheme::optmt());
+        let plan = FaultPlan::new(vec![
+            FaultEvent::crash(0, 1_000.0, 2_500.5),
+            FaultEvent::drain(0, 3_000.0, 4_000.0),
+            FaultEvent::straggler(0, 500.0, 900.25, 1.5),
+            FaultEvent::interconnect_degradation(100.0, 200.0, 2.0),
+        ]);
+        let faulted = small().with_faults(plan).fingerprint(
+            &Workload::end_to_end(AccessPattern::Random),
+            &Scheme::base(),
+        );
+        let scheme = small().fingerprint(
+            &Workload::kernel(AccessPattern::HighHot),
+            &Scheme::base()
+                .with_multithreading(Multithreading::MaxRegisters(64))
+                .with_prefetch(PrefetchConfig::new(BufferStation::Register, 4))
+                .with_l2_pinning(Some(3 << 20)),
+        );
+        let scenario = ServingScenario::new(
+            TrafficModel::poisson(2_000.0),
+            BatchingPolicy::adaptive(16, 256),
+        );
+        let fleet = Fleet::new(TrafficModel::poisson(4_000.0), 64, 7)
+            .with_group(ReplicaGroup::new(small(), scenario.clone()))
+            .with_group(
+                ReplicaGroup::new(
+                    small().with_streams(StreamConfig::new(2, StreamPartition::SmPartitioned)),
+                    scenario.with_faults(FaultPlan::new(vec![FaultEvent::crash(0, 10.0, 20.0)])),
+                )
+                .with_replicas(2),
+            )
+            .with_routing(RoutingPolicy::latency_aware(0.25))
+            .with_autoscale(AutoscalePolicy::reactive(0.8, 0.3, 2, 1, 3))
+            .fingerprint(&Workload::stage(AccessPattern::MedHot), &Scheme::combined());
+
+        for (got, want) in [
+            (kernel, KERNEL),
+            (nvlink_stage, NVLINK_STAGE),
+            (streams, STREAMS),
+            (faulted, FAULTED),
+            (scheme, SCHEME),
+            (fleet, FLEET),
+        ] {
+            assert_eq!(got, want);
+        }
+
+        const KERNEL: &str = r#"{"cluster":null,"engine_mode":"event_driven","gpu":{"alu_latency":4,"clock_ghz":1.41,"dram":{"capacity_bytes":85899345920,"latency":466,"peak_bandwidth_gbps":1940.0},"l1":{"associativity":4,"capacity_bytes":16384,"hit_latency":38,"line_bytes":128},"l2":{"associativity":16,"capacity_bytes":262144,"hit_latency":261,"line_bytes":128},"l2_max_persisting_fraction":0.75,"max_blocks_per_sm":32,"max_warps_per_sm":64,"name":"test-small","num_sms":4,"register_alloc_granularity":8,"register_latency":1,"registers_per_sm":65536,"shared_mem_latency":29,"shared_mem_per_sm":167936,"smsps_per_sm":4,"warp_size":32},"model":{"bottom_mlp":[64,32,32],"embedding":{"batch_size":256,"embedding_dim":32,"num_rows":20000,"pooling_factor":8},"num_tables":2,"top_mlp":[16,8,1]},"scale":"test","schema":"perf-envelope/cell-fingerprint/v1","scheme":{"l2_pinning":null,"multithreading":"default","prefetch":null},"seed":24301,"tables_to_simulate":1,"workload":{"kind":"kernel","pattern":"med hot","sharding":null}}"#;
+        const NVLINK_STAGE: &str = r#"{"cluster":{"devices":[{"alu_latency":4,"clock_ghz":1.41,"dram":{"capacity_bytes":85899345920,"latency":466,"peak_bandwidth_gbps":1940.0},"l1":{"associativity":4,"capacity_bytes":16384,"hit_latency":38,"line_bytes":128},"l2":{"associativity":16,"capacity_bytes":262144,"hit_latency":261,"line_bytes":128},"l2_max_persisting_fraction":0.75,"max_blocks_per_sm":32,"max_warps_per_sm":64,"name":"test-small","num_sms":4,"register_alloc_granularity":8,"register_latency":1,"registers_per_sm":65536,"shared_mem_latency":29,"shared_mem_per_sm":167936,"smsps_per_sm":4,"warp_size":32},{"alu_latency":4,"clock_ghz":1.41,"dram":{"capacity_bytes":85899345920,"latency":466,"peak_bandwidth_gbps":1940.0},"l1":{"associativity":4,"capacity_bytes":16384,"hit_latency":38,"line_bytes":128},"l2":{"associativity":16,"capacity_bytes":262144,"hit_latency":261,"line_bytes":128},"l2_max_persisting_fraction":0.75,"max_blocks_per_sm":32,"max_warps_per_sm":64,"name":"test-small","num_sms":4,"register_alloc_granularity":8,"register_latency":1,"registers_per_sm":65536,"shared_mem_latency":29,"shared_mem_per_sm":167936,"smsps_per_sm":4,"warp_size":32}],"interconnect":{"link_bandwidth_gbps":300.0,"link_latency_us":2.0,"name":"NVLink3"}},"engine_mode":"event_driven","gpu":{"alu_latency":4,"clock_ghz":1.41,"dram":{"capacity_bytes":85899345920,"latency":466,"peak_bandwidth_gbps":1940.0},"l1":{"associativity":4,"capacity_bytes":16384,"hit_latency":38,"line_bytes":128},"l2":{"associativity":16,"capacity_bytes":262144,"hit_latency":261,"line_bytes":128},"l2_max_persisting_fraction":0.75,"max_blocks_per_sm":32,"max_warps_per_sm":64,"name":"test-small","num_sms":4,"register_alloc_granularity":8,"register_latency":1,"registers_per_sm":65536,"shared_mem_latency":29,"shared_mem_per_sm":167936,"smsps_per_sm":4,"warp_size":32},"model":{"bottom_mlp":[64,32,32],"embedding":{"batch_size":256,"embedding_dim":32,"num_rows":20000,"pooling_factor":8},"num_tables":2,"top_mlp":[16,8,1]},"scale":"test","schema":"perf-envelope/cell-fingerprint/v1","scheme":{"l2_pinning":{"carveout_bytes":null},"multithreading":"optmt","prefetch":{"distance":2,"station":"RPF"}},"seed":24301,"tables_to_simulate":1,"workload":{"dataset":{"mix":{"composition":[["high hot",1],["med hot",1],["low hot",1],["random",1]],"name":"Mix2"}},"kind":"embedding_stage","sharding":"hot_cold"}}"#;
+        const STREAMS: &str = r#"{"cluster":null,"engine_mode":"event_driven","gpu":{"alu_latency":4,"clock_ghz":1.41,"dram":{"capacity_bytes":85899345920,"latency":466,"peak_bandwidth_gbps":1940.0},"l1":{"associativity":4,"capacity_bytes":16384,"hit_latency":38,"line_bytes":128},"l2":{"associativity":16,"capacity_bytes":262144,"hit_latency":261,"line_bytes":128},"l2_max_persisting_fraction":0.75,"max_blocks_per_sm":32,"max_warps_per_sm":64,"name":"test-small","num_sms":4,"register_alloc_granularity":8,"register_latency":1,"registers_per_sm":65536,"shared_mem_latency":29,"shared_mem_per_sm":167936,"smsps_per_sm":4,"warp_size":32},"model":{"bottom_mlp":[64,32,32],"embedding":{"batch_size":256,"embedding_dim":32,"num_rows":20000,"pooling_factor":8},"num_tables":2,"top_mlp":[16,8,1]},"scale":"test","schema":"perf-envelope/cell-fingerprint/v1","scheme":{"l2_pinning":null,"multithreading":"optmt","prefetch":null},"seed":24301,"streams":{"partition":"interleaved","streams":2},"tables_to_simulate":1,"workload":{"dataset":{"pattern":"med hot"},"kind":"embedding_stage","sharding":null}}"#;
+        const FAULTED: &str = r#"{"cluster":null,"engine_mode":"event_driven","faults":[{"device":0,"end_us":200.0,"factor":2.0,"kind":"interconnect_degradation","start_us":100.0},{"device":0,"end_us":900.25,"factor":1.5,"kind":"straggler","start_us":500.0},{"device":0,"end_us":2500.5,"factor":1.0,"kind":"crash","start_us":1000.0},{"device":0,"end_us":4000.0,"factor":1.0,"kind":"drain","start_us":3000.0}],"gpu":{"alu_latency":4,"clock_ghz":1.41,"dram":{"capacity_bytes":85899345920,"latency":466,"peak_bandwidth_gbps":1940.0},"l1":{"associativity":4,"capacity_bytes":16384,"hit_latency":38,"line_bytes":128},"l2":{"associativity":16,"capacity_bytes":262144,"hit_latency":261,"line_bytes":128},"l2_max_persisting_fraction":0.75,"max_blocks_per_sm":32,"max_warps_per_sm":64,"name":"test-small","num_sms":4,"register_alloc_granularity":8,"register_latency":1,"registers_per_sm":65536,"shared_mem_latency":29,"shared_mem_per_sm":167936,"smsps_per_sm":4,"warp_size":32},"model":{"bottom_mlp":[64,32,32],"embedding":{"batch_size":256,"embedding_dim":32,"num_rows":20000,"pooling_factor":8},"num_tables":2,"top_mlp":[16,8,1]},"scale":"test","schema":"perf-envelope/cell-fingerprint/v1","scheme":{"l2_pinning":null,"multithreading":"default","prefetch":null},"seed":24301,"tables_to_simulate":1,"workload":{"dataset":{"pattern":"random"},"kind":"end_to_end","sharding":null}}"#;
+        const SCHEME: &str = r#"{"cluster":null,"engine_mode":"event_driven","gpu":{"alu_latency":4,"clock_ghz":1.41,"dram":{"capacity_bytes":85899345920,"latency":466,"peak_bandwidth_gbps":1940.0},"l1":{"associativity":4,"capacity_bytes":16384,"hit_latency":38,"line_bytes":128},"l2":{"associativity":16,"capacity_bytes":262144,"hit_latency":261,"line_bytes":128},"l2_max_persisting_fraction":0.75,"max_blocks_per_sm":32,"max_warps_per_sm":64,"name":"test-small","num_sms":4,"register_alloc_granularity":8,"register_latency":1,"registers_per_sm":65536,"shared_mem_latency":29,"shared_mem_per_sm":167936,"smsps_per_sm":4,"warp_size":32},"model":{"bottom_mlp":[64,32,32],"embedding":{"batch_size":256,"embedding_dim":32,"num_rows":20000,"pooling_factor":8},"num_tables":2,"top_mlp":[16,8,1]},"scale":"test","schema":"perf-envelope/cell-fingerprint/v1","scheme":{"l2_pinning":{"carveout_bytes":3145728},"multithreading":"maxrreg64","prefetch":{"distance":4,"station":"RPF"}},"seed":24301,"tables_to_simulate":1,"workload":{"kind":"kernel","pattern":"high hot","sharding":null}}"#;
+        const FLEET: &str = r#"{"cluster":null,"engine_mode":"event_driven","fleet":{"autoscale":{"cooldown_intervals":2,"kind":"reactive","max_replicas":3,"min_replicas":1,"scale_in_threshold":0.3,"scale_out_threshold":0.8},"interval_us":1000000.0,"replicas":[{"cluster":null,"count":1,"gpu":{"alu_latency":4,"clock_ghz":1.41,"dram":{"capacity_bytes":85899345920,"latency":466,"peak_bandwidth_gbps":1940.0},"l1":{"associativity":4,"capacity_bytes":16384,"hit_latency":38,"line_bytes":128},"l2":{"associativity":16,"capacity_bytes":262144,"hit_latency":261,"line_bytes":128},"l2_max_persisting_fraction":0.75,"max_blocks_per_sm":32,"max_warps_per_sm":64,"name":"test-small","num_sms":4,"register_alloc_granularity":8,"register_latency":1,"registers_per_sm":65536,"shared_mem_latency":29,"shared_mem_per_sm":167936,"smsps_per_sm":4,"warp_size":32}},{"cluster":null,"count":2,"faults":[{"device":0,"end_us":20.0,"factor":1.0,"kind":"crash","start_us":10.0}],"gpu":{"alu_latency":4,"clock_ghz":1.41,"dram":{"capacity_bytes":85899345920,"latency":466,"peak_bandwidth_gbps":1940.0},"l1":{"associativity":4,"capacity_bytes":16384,"hit_latency":38,"line_bytes":128},"l2":{"associativity":16,"capacity_bytes":262144,"hit_latency":261,"line_bytes":128},"l2_max_persisting_fraction":0.75,"max_blocks_per_sm":32,"max_warps_per_sm":64,"name":"test-small","num_sms":4,"register_alloc_granularity":8,"register_latency":1,"registers_per_sm":65536,"shared_mem_latency":29,"shared_mem_per_sm":167936,"smsps_per_sm":4,"warp_size":32},"streams":{"partition":"sm_partitioned","streams":2}}],"routing":{"ewma_alpha":0.25,"kind":"latency_aware"}},"gpu":{"alu_latency":4,"clock_ghz":1.41,"dram":{"capacity_bytes":85899345920,"latency":466,"peak_bandwidth_gbps":1940.0},"l1":{"associativity":4,"capacity_bytes":16384,"hit_latency":38,"line_bytes":128},"l2":{"associativity":16,"capacity_bytes":262144,"hit_latency":261,"line_bytes":128},"l2_max_persisting_fraction":0.75,"max_blocks_per_sm":32,"max_warps_per_sm":64,"name":"test-small","num_sms":4,"register_alloc_granularity":8,"register_latency":1,"registers_per_sm":65536,"shared_mem_latency":29,"shared_mem_per_sm":167936,"smsps_per_sm":4,"warp_size":32},"model":{"bottom_mlp":[64,32,32],"embedding":{"batch_size":256,"embedding_dim":32,"num_rows":20000,"pooling_factor":8},"num_tables":2,"top_mlp":[16,8,1]},"scale":"test","schema":"perf-envelope/cell-fingerprint/v1","scheme":{"l2_pinning":{"carveout_bytes":null},"multithreading":"optmt","prefetch":{"distance":2,"station":"RPF"}},"seed":24301,"tables_to_simulate":1,"workload":{"dataset":{"pattern":"med hot"},"kind":"embedding_stage","sharding":null}}"#;
+    }
 }
