@@ -237,8 +237,9 @@ impl CampaignCache {
     /// returned cache starts with fresh hit/miss statistics.
     ///
     /// # Errors
-    /// Returns a [`JsonError`] on syntax errors, a wrong `schema` tag, or
-    /// malformed cells.
+    /// Returns a [`JsonError`] on syntax errors, a wrong `schema` tag,
+    /// malformed cells, or two cells with the same key (which of two
+    /// reports a cell stands for cannot be told, so neither is trusted).
     pub fn from_json(text: &str) -> Result<Arc<Self>, JsonError> {
         let doc = Json::parse(text)?;
         match doc.get("schema").and_then(Json::as_str) {
@@ -264,7 +265,10 @@ impl CampaignCache {
             let report = cell
                 .get("report")
                 .ok_or_else(|| JsonError::schema("cell is missing its 'report'"))?;
-            map.insert(key.to_string(), RunReport::from_json_value(report)?);
+            let report = RunReport::from_json_value(report)?;
+            if map.insert(key.to_string(), report).is_some() {
+                return Err(JsonError::schema("two cells share one key"));
+            }
         }
         Ok(Arc::new(CampaignCache {
             cells: Mutex::new(Cells {
@@ -541,6 +545,18 @@ mod tests {
             .with_cache(reloaded.clone());
         assert_eq!(e2.run(&w, &Scheme::base()), original);
         assert_eq!((reloaded.hits(), reloaded.misses()), (1, 0));
+    }
+
+    #[test]
+    fn load_rejects_duplicate_cell_keys() {
+        let cache = CampaignCache::new();
+        let e = cached_experiment(&cache);
+        let _ = e.run(&Workload::kernel(AccessPattern::MedHot), &Scheme::base());
+        let mut doc = Json::parse(&cache.to_json()).unwrap();
+        let cell = doc.get("cells").and_then(Json::as_array).unwrap()[0].clone();
+        doc.set("cells", Json::Arr(vec![cell.clone(), cell]));
+        let err = CampaignCache::from_json(&doc.render()).unwrap_err();
+        assert!(err.to_string().contains("share one key"), "{err}");
     }
 
     #[test]

@@ -4,13 +4,30 @@
 //! function of: the full cluster topology (device configurations and
 //! interconnect), the model configuration (which embeds the pooling
 //! factor), scale, seed, tables-to-simulate, engine mode, workload
-//! (including its sharding spec) and scheme. The previous in-memory cache
-//! leaned on `Debug` formatting; this module replaces that with a canonical
-//! JSON encoding rendered through [`crate::json`] — objects keep their keys
+//! (including its sharding spec) and scheme. The key is a canonical JSON
+//! encoding rendered through [`crate::json`] — objects keep their keys
 //! sorted and floats render with shortest-round-trip formatting, so the
 //! same cell produces byte-identical keys in every process, which is what
 //! makes [`crate::CampaignCache::save_to`] / [`load_from`] usable for
 //! cross-process incremental re-runs.
+//!
+//! # Coverage is checked by the compiler
+//!
+//! Every encoder that feeds a cell key opens with an exhaustive
+//! destructuring — `let T { a, b, c } = self;`, no `..` — and each field
+//! either reaches the key or is bound to `_` next to a one-line reason.
+//! To add a knob to a config type, add the field: `cargo build` then fails
+//! in that type's encoder until the field is encoded or exempted there.
+//! The encoders of other crates' config types (whose fields are public)
+//! live in this module; core types with private fields carry their
+//! encoder in their own module, so no field has to become public:
+//! [`Experiment::cell_doc`](crate::Experiment) (the root of every key),
+//! `Cluster`, `InterconnectConfig`, `StreamConfig`, `FaultPlan`,
+//! `FaultEvent`, `Workload`, `Scheme`, `L2Pinning`, and for fleet keys
+//! `FleetSpec`, `RoutingPolicy`, `AutoscalePolicy` and `ReplicaGroup`.
+//! A change to the rendered bytes orphans every persisted cache: bump
+//! [`FINGERPRINT_SCHEMA`] when it is deliberate (the golden test
+//! `cell_keys_are_byte_identical_to_v1` fails when it is not).
 //!
 //! The [`crate::serving`] layer's batch shapes ride on this encoding for
 //! free: a priced batch is an experiment whose model carries the shape as
@@ -21,105 +38,21 @@
 //! [`load_from`]: crate::CampaignCache::load_from
 
 use dlrm::DlrmConfig;
-use gpu_sim::{CacheConfig, EngineMode, GpuConfig};
+use dlrm_datasets::TraceConfig;
+use embedding_kernels::{EmbeddingConfig, PrefetchConfig};
+use gpu_sim::{CacheConfig, DramConfig, GpuConfig};
 
+use crate::fleet::{FleetSpec, ReplicaGroup};
 use crate::json::Json;
-use crate::scheme::{Multithreading, Scheme};
-use crate::serving::FaultPlan;
-use crate::topology::{Cluster, StreamConfig};
-use crate::workload::{Dataset, Workload, WorkloadTarget};
 
 /// Identifier of the fingerprint encoding; bump when the encoding changes
 /// so persisted caches from older encodings are not silently misread.
 pub(crate) const FINGERPRINT_SCHEMA: &str = "perf-envelope/cell-fingerprint/v1";
 
-/// Builds the canonical cell document of one experiment cell (rendering it
-/// yields the cell key). The fleet layer extends this document with a
-/// `fleet` axis, so the builder is shared rather than re-parsed.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cell_doc(
-    cluster: &Cluster,
-    model: &DlrmConfig,
-    scale_name: &str,
-    seed: u64,
-    tables_to_simulate: u32,
-    mode: EngineMode,
-    streams: StreamConfig,
-    faults: &FaultPlan,
-    workload: &Workload,
-    scheme: &Scheme,
-) -> Json {
-    let mut doc = Json::object();
-    doc.set("schema", Json::Str(FINGERPRINT_SCHEMA.to_string()));
-    doc.set("gpu", gpu_to_json(cluster.root()));
-    // Single-device clusters are canonically equivalent to a plain device:
-    // the interconnect is never exercised, so two experiments that differ
-    // only in how the lone device was wrapped share their cells.
-    doc.set(
-        "cluster",
-        if cluster.is_single() {
-            Json::Null
-        } else {
-            cluster_to_json(cluster)
-        },
-    );
-    doc.set("model", model_to_json(model));
-    doc.set("scale", Json::Str(scale_name.to_string()));
-    doc.set("seed", Json::UInt(seed));
-    doc.set("tables_to_simulate", Json::UInt(tables_to_simulate as u64));
-    doc.set("engine_mode", Json::Str(mode.name().to_string()));
-    // A single stream is canonically the pre-stream experiment: the key
-    // omits the axis entirely, so K=1 keys stay byte-identical with the
-    // earlier encoding and persisted caches remain loadable.
-    if !streams.is_single() {
-        doc.set("streams", streams_to_json(streams));
-    }
-    // The empty fault plan is canonically the fault-free experiment: the
-    // key omits the axis entirely, keeping pre-fault keys byte-identical
-    // and persisted caches warm. A non-empty plan partitions cells
-    // conservatively — the plan shapes serving-layer dispatch rather than
-    // the priced kernels, but a resilience study must never alias a
-    // fault-free study's cells in a persisted cache.
-    if !faults.is_empty() {
-        doc.set("faults", faults_to_json(faults));
-    }
-    doc.set("workload", workload_to_json(workload));
-    doc.set("scheme", scheme_to_json(scheme));
-    doc
-}
-
-fn streams_to_json(streams: StreamConfig) -> Json {
-    let mut s = Json::object();
-    s.set("streams", Json::UInt(streams.streams() as u64));
-    s.set(
-        "partition",
-        Json::Str(streams.partition().name().to_string()),
-    );
-    s
-}
-
-fn faults_to_json(faults: &FaultPlan) -> Json {
-    Json::Arr(
-        faults
-            .events()
-            .iter()
-            .map(|event| {
-                let mut e = Json::object();
-                e.set("device", Json::UInt(event.device() as u64));
-                e.set("kind", Json::Str(event.kind().name().to_string()));
-                e.set("start_us", Json::Num(event.start_us()));
-                e.set("end_us", Json::Num(event.end_us()));
-                e.set("factor", Json::Num(event.factor()));
-                e
-            })
-            .collect(),
-    )
-}
-
 /// Renders the canonical key of one fleet cell: the replica-0 cell document
-/// (`replica0`, built by [`cell_doc`] from the first replica group's axes)
-/// extended with a `fleet` axis describing routing, autoscaling and the
-/// replica groups.
+/// (`replica0`, built by [`Experiment::cell_doc`](crate::Experiment) from
+/// the first replica group's pricing experiment) extended with a `fleet`
+/// axis describing routing, autoscaling and the replica groups.
 ///
 /// The identity fleet — one replica, round-robin routing, no autoscaling —
 /// omits the `fleet` axis entirely, so its key is **byte-identical** to the
@@ -130,262 +63,141 @@ fn faults_to_json(faults: &FaultPlan) -> Json {
 /// mixes never alias each other.
 pub(crate) fn fleet_key(
     mut replica0: Json,
-    routing: &crate::fleet::RoutingPolicy,
-    autoscale: &crate::fleet::AutoscalePolicy,
-    interval_us: f64,
-    groups: &[(Cluster, StreamConfig, FaultPlan, u32)],
+    spec: &FleetSpec,
+    groups: &[ReplicaGroup],
     identity: bool,
 ) -> String {
     if identity {
         return replica0.render();
     }
-    let mut fleet = Json::object();
-    let mut r = Json::object();
-    r.set("kind", Json::Str(routing.kind().name().to_string()));
-    r.set("ewma_alpha", Json::Num(routing.ewma_alpha()));
-    fleet.set("routing", r);
-    let mut a = Json::object();
-    a.set("kind", Json::Str(autoscale.kind().name().to_string()));
-    a.set(
-        "scale_out_threshold",
-        Json::Num(autoscale.scale_out_threshold()),
-    );
-    a.set(
-        "scale_in_threshold",
-        Json::Num(autoscale.scale_in_threshold()),
-    );
-    a.set(
-        "cooldown_intervals",
-        Json::UInt(autoscale.cooldown_intervals() as u64),
-    );
-    a.set("min_replicas", Json::UInt(autoscale.min_replicas() as u64));
-    a.set("max_replicas", Json::UInt(autoscale.max_replicas() as u64));
-    fleet.set("autoscale", a);
-    fleet.set("interval_us", Json::Num(interval_us));
+    let mut fleet = spec.to_json_value();
     fleet.set(
         "replicas",
-        Json::Arr(
-            groups
-                .iter()
-                .map(|(cluster, streams, faults, count)| {
-                    let mut g = Json::object();
-                    g.set("gpu", gpu_to_json(cluster.root()));
-                    g.set(
-                        "cluster",
-                        if cluster.is_single() {
-                            Json::Null
-                        } else {
-                            cluster_to_json(cluster)
-                        },
-                    );
-                    if !streams.is_single() {
-                        g.set("streams", streams_to_json(*streams));
-                    }
-                    if !faults.is_empty() {
-                        g.set("faults", faults_to_json(faults));
-                    }
-                    g.set("count", Json::UInt(*count as u64));
-                    g
-                })
-                .collect(),
-        ),
+        Json::Arr(groups.iter().map(ReplicaGroup::key_json).collect()),
     );
     replica0.set("fleet", fleet);
     replica0.render()
 }
 
 fn cache_to_json(cache: &CacheConfig) -> Json {
+    let CacheConfig {
+        capacity_bytes,
+        line_bytes,
+        associativity,
+        hit_latency,
+    } = cache;
     let mut doc = Json::object();
-    doc.set("capacity_bytes", Json::UInt(cache.capacity_bytes));
-    doc.set("line_bytes", Json::UInt(cache.line_bytes));
-    doc.set("associativity", Json::UInt(cache.associativity as u64));
-    doc.set("hit_latency", Json::UInt(cache.hit_latency));
+    doc.set("capacity_bytes", Json::UInt(*capacity_bytes));
+    doc.set("line_bytes", Json::UInt(*line_bytes));
+    doc.set("associativity", Json::UInt(*associativity as u64));
+    doc.set("hit_latency", Json::UInt(*hit_latency));
     doc
 }
 
-fn gpu_to_json(gpu: &GpuConfig) -> Json {
+fn dram_to_json(dram: &DramConfig) -> Json {
+    let DramConfig {
+        capacity_bytes,
+        latency,
+        peak_bandwidth_gbps,
+    } = dram;
     let mut doc = Json::object();
-    doc.set("name", Json::Str(gpu.name.clone()));
-    doc.set("num_sms", Json::UInt(gpu.num_sms as u64));
-    doc.set("smsps_per_sm", Json::UInt(gpu.smsps_per_sm as u64));
-    doc.set("max_warps_per_sm", Json::UInt(gpu.max_warps_per_sm as u64));
-    doc.set(
-        "max_blocks_per_sm",
-        Json::UInt(gpu.max_blocks_per_sm as u64),
-    );
-    doc.set("registers_per_sm", Json::UInt(gpu.registers_per_sm as u64));
+    doc.set("capacity_bytes", Json::UInt(*capacity_bytes));
+    doc.set("latency", Json::UInt(*latency));
+    doc.set("peak_bandwidth_gbps", Json::Num(*peak_bandwidth_gbps));
+    doc
+}
+
+pub(crate) fn gpu_to_json(gpu: &GpuConfig) -> Json {
+    let GpuConfig {
+        name,
+        num_sms,
+        smsps_per_sm,
+        max_warps_per_sm,
+        max_blocks_per_sm,
+        registers_per_sm,
+        register_alloc_granularity,
+        warp_size,
+        clock_ghz,
+        shared_mem_per_sm,
+        shared_mem_latency,
+        register_latency,
+        l1,
+        l2,
+        l2_max_persisting_fraction,
+        dram,
+        alu_latency,
+        // A validation cap only: the co-residency that actually runs is the
+        // experiment's stream configuration, encoded as the `streams` axis.
+        max_concurrent_streams: _,
+    } = gpu;
+    let mut doc = Json::object();
+    doc.set("name", Json::Str(name.clone()));
+    doc.set("num_sms", Json::UInt(*num_sms as u64));
+    doc.set("smsps_per_sm", Json::UInt(*smsps_per_sm as u64));
+    doc.set("max_warps_per_sm", Json::UInt(*max_warps_per_sm as u64));
+    doc.set("max_blocks_per_sm", Json::UInt(*max_blocks_per_sm as u64));
+    doc.set("registers_per_sm", Json::UInt(*registers_per_sm as u64));
     doc.set(
         "register_alloc_granularity",
-        Json::UInt(gpu.register_alloc_granularity as u64),
+        Json::UInt(*register_alloc_granularity as u64),
     );
-    doc.set("warp_size", Json::UInt(gpu.warp_size as u64));
-    doc.set("clock_ghz", Json::Num(gpu.clock_ghz));
-    doc.set("shared_mem_per_sm", Json::UInt(gpu.shared_mem_per_sm));
-    doc.set("shared_mem_latency", Json::UInt(gpu.shared_mem_latency));
-    doc.set("register_latency", Json::UInt(gpu.register_latency));
-    doc.set("l1", cache_to_json(&gpu.l1));
-    doc.set("l2", cache_to_json(&gpu.l2));
+    doc.set("warp_size", Json::UInt(*warp_size as u64));
+    doc.set("clock_ghz", Json::Num(*clock_ghz));
+    doc.set("shared_mem_per_sm", Json::UInt(*shared_mem_per_sm));
+    doc.set("shared_mem_latency", Json::UInt(*shared_mem_latency));
+    doc.set("register_latency", Json::UInt(*register_latency));
+    doc.set("l1", cache_to_json(l1));
+    doc.set("l2", cache_to_json(l2));
     doc.set(
         "l2_max_persisting_fraction",
-        Json::Num(gpu.l2_max_persisting_fraction),
+        Json::Num(*l2_max_persisting_fraction),
     );
-    let mut dram = Json::object();
-    dram.set("capacity_bytes", Json::UInt(gpu.dram.capacity_bytes));
-    dram.set("latency", Json::UInt(gpu.dram.latency));
-    dram.set(
-        "peak_bandwidth_gbps",
-        Json::Num(gpu.dram.peak_bandwidth_gbps),
-    );
-    doc.set("dram", dram);
-    doc.set("alu_latency", Json::UInt(gpu.alu_latency));
+    doc.set("dram", dram_to_json(dram));
+    doc.set("alu_latency", Json::UInt(*alu_latency));
     doc
 }
 
-fn cluster_to_json(cluster: &Cluster) -> Json {
+pub(crate) fn model_to_json(model: &DlrmConfig) -> Json {
+    let DlrmConfig {
+        bottom_mlp,
+        top_mlp,
+        num_tables,
+        embedding,
+    } = model;
+    let layers = |sizes: &[u32]| Json::Arr(sizes.iter().map(|&n| Json::UInt(n as u64)).collect());
     let mut doc = Json::object();
-    doc.set(
-        "devices",
-        Json::Arr(cluster.devices().iter().map(gpu_to_json).collect()),
-    );
-    let ic = cluster.interconnect();
-    let mut fabric = Json::object();
-    fabric.set("name", Json::Str(ic.name.clone()));
-    fabric.set("link_latency_us", Json::Num(ic.link_latency_us));
-    fabric.set("link_bandwidth_gbps", Json::Num(ic.link_bandwidth_gbps));
-    doc.set("interconnect", fabric);
+    doc.set("bottom_mlp", layers(bottom_mlp));
+    doc.set("top_mlp", layers(top_mlp));
+    doc.set("num_tables", Json::UInt(*num_tables as u64));
+    doc.set("embedding", embedding_to_json(embedding));
     doc
 }
 
-fn model_to_json(model: &DlrmConfig) -> Json {
+/// The `embedding` object: the embedding dimension with the trace shape
+/// flattened in beside it.
+fn embedding_to_json(embedding: &EmbeddingConfig) -> Json {
+    let EmbeddingConfig {
+        trace,
+        embedding_dim,
+    } = embedding;
+    let TraceConfig {
+        num_rows,
+        batch_size,
+        pooling_factor,
+    } = trace;
     let mut doc = Json::object();
-    doc.set(
-        "bottom_mlp",
-        Json::Arr(
-            model
-                .bottom_mlp
-                .iter()
-                .map(|&n| Json::UInt(n as u64))
-                .collect(),
-        ),
-    );
-    doc.set(
-        "top_mlp",
-        Json::Arr(
-            model
-                .top_mlp
-                .iter()
-                .map(|&n| Json::UInt(n as u64))
-                .collect(),
-        ),
-    );
-    doc.set("num_tables", Json::UInt(model.num_tables as u64));
-    let mut emb = Json::object();
-    emb.set("num_rows", Json::UInt(model.embedding.trace.num_rows));
-    emb.set(
-        "batch_size",
-        Json::UInt(model.embedding.trace.batch_size as u64),
-    );
-    emb.set(
-        "pooling_factor",
-        Json::UInt(model.embedding.trace.pooling_factor as u64),
-    );
-    emb.set(
-        "embedding_dim",
-        Json::UInt(model.embedding.embedding_dim as u64),
-    );
-    doc.set("embedding", emb);
+    doc.set("num_rows", Json::UInt(*num_rows));
+    doc.set("batch_size", Json::UInt(*batch_size as u64));
+    doc.set("pooling_factor", Json::UInt(*pooling_factor as u64));
+    doc.set("embedding_dim", Json::UInt(*embedding_dim as u64));
     doc
 }
 
-fn dataset_to_json(dataset: &Dataset) -> Json {
+pub(crate) fn prefetch_to_json(prefetch: &PrefetchConfig) -> Json {
+    let PrefetchConfig { station, distance } = prefetch;
     let mut doc = Json::object();
-    match dataset {
-        Dataset::Homogeneous(pattern) => {
-            doc.set("pattern", Json::Str(pattern.paper_name().to_string()));
-        }
-        Dataset::Mix(mix) => {
-            let mut m = Json::object();
-            m.set("name", Json::Str(mix.name().to_string()));
-            m.set(
-                "composition",
-                Json::Arr(
-                    mix.composition()
-                        .iter()
-                        .map(|&(pattern, count)| {
-                            Json::Arr(vec![
-                                Json::Str(pattern.paper_name().to_string()),
-                                Json::UInt(count as u64),
-                            ])
-                        })
-                        .collect(),
-                ),
-            );
-            doc.set("mix", m);
-        }
-    }
-    doc
-}
-
-fn workload_to_json(workload: &Workload) -> Json {
-    let mut doc = Json::object();
-    doc.set("kind", Json::Str(workload.kind().name().to_string()));
-    match workload.target() {
-        WorkloadTarget::Kernel(pattern) => {
-            doc.set("pattern", Json::Str(pattern.paper_name().to_string()));
-        }
-        WorkloadTarget::EmbeddingStage(dataset) | WorkloadTarget::EndToEnd(dataset) => {
-            doc.set("dataset", dataset_to_json(dataset));
-        }
-    }
-    doc.set(
-        "sharding",
-        match workload.sharding() {
-            Some(spec) => Json::Str(spec.name().to_string()),
-            None => Json::Null,
-        },
-    );
-    doc
-}
-
-fn scheme_to_json(scheme: &Scheme) -> Json {
-    let mut doc = Json::object();
-    doc.set(
-        "multithreading",
-        Json::Str(match scheme.multithreading() {
-            Multithreading::Default => "default".to_string(),
-            Multithreading::OptMt => "optmt".to_string(),
-            Multithreading::MaxRegisters(r) => format!("maxrreg{r}"),
-        }),
-    );
-    doc.set(
-        "prefetch",
-        match scheme.prefetch() {
-            Some(p) => {
-                let mut obj = Json::object();
-                obj.set("station", Json::Str(p.station.abbreviation().to_string()));
-                obj.set("distance", Json::UInt(p.distance as u64));
-                obj
-            }
-            None => Json::Null,
-        },
-    );
-    doc.set(
-        "l2_pinning",
-        match scheme.l2_pinning() {
-            Some(p) => {
-                let mut obj = Json::object();
-                obj.set(
-                    "carveout_bytes",
-                    match p.carveout_bytes {
-                        Some(b) => Json::UInt(b),
-                        None => Json::Null,
-                    },
-                );
-                obj
-            }
-            None => Json::Null,
-        },
-    );
+    doc.set("station", Json::Str(station.abbreviation().to_string()));
+    doc.set("distance", Json::UInt(*distance as u64));
     doc
 }
 
@@ -395,62 +207,30 @@ mod tests {
     use dlrm::WorkloadScale;
     use dlrm_datasets::{AccessPattern, HeterogeneousMix, MixKind};
 
-    use crate::topology::{InterconnectConfig, ShardingSpec};
+    use crate::runner::Experiment;
+    use crate::scheme::Scheme;
+    use crate::serving::FaultPlan;
+    use crate::topology::{Cluster, InterconnectConfig, ShardingSpec, StreamConfig};
+    use crate::workload::Workload;
 
-    #[allow(clippy::too_many_arguments)]
-    fn cell_key(
-        cluster: &Cluster,
-        model: &DlrmConfig,
-        scale_name: &str,
-        seed: u64,
-        tables_to_simulate: u32,
-        mode: EngineMode,
-        streams: StreamConfig,
-        faults: &FaultPlan,
-        workload: &Workload,
-        scheme: &Scheme,
-    ) -> String {
-        cell_doc(
-            cluster,
-            model,
-            scale_name,
-            seed,
-            tables_to_simulate,
-            mode,
-            streams,
-            faults,
-            workload,
-            scheme,
-        )
-        .render()
+    fn small() -> Experiment {
+        Experiment::new(GpuConfig::test_small(), WorkloadScale::Test)
     }
 
     fn key(workload: &Workload, scheme: &Scheme) -> String {
-        key_with_streams(StreamConfig::single(), workload, scheme)
+        small().cell_fingerprint(workload, scheme)
     }
 
     fn key_with_streams(streams: StreamConfig, workload: &Workload, scheme: &Scheme) -> String {
-        key_with_faults(streams, &FaultPlan::empty(), workload, scheme)
+        small()
+            .with_streams(streams)
+            .cell_fingerprint(workload, scheme)
     }
 
-    fn key_with_faults(
-        streams: StreamConfig,
-        faults: &FaultPlan,
-        workload: &Workload,
-        scheme: &Scheme,
-    ) -> String {
-        cell_key(
-            &Cluster::single(GpuConfig::test_small()),
-            &DlrmConfig::at_scale(WorkloadScale::Test),
-            "test",
-            0x5EED,
-            1,
-            EngineMode::EventDriven,
-            streams,
-            faults,
-            workload,
-            scheme,
-        )
+    fn key_with_faults(faults: FaultPlan, workload: &Workload, scheme: &Scheme) -> String {
+        small()
+            .with_faults(faults)
+            .cell_fingerprint(workload, scheme)
     }
 
     #[test]
@@ -517,44 +297,19 @@ mod tests {
     fn single_device_clusters_encode_like_plain_devices() {
         let gpu = GpuConfig::test_small();
         let workload = Workload::kernel(AccessPattern::MedHot);
-        let model = DlrmConfig::at_scale(WorkloadScale::Test);
-        let plain = cell_key(
-            &Cluster::single(gpu.clone()),
-            &model,
-            "test",
-            1,
-            1,
-            EngineMode::EventDriven,
-            StreamConfig::single(),
-            &FaultPlan::empty(),
-            &workload,
-            &Scheme::base(),
-        );
-        let wrapped = cell_key(
-            &Cluster::new(vec![gpu.clone()], InterconnectConfig::pcie_gen4()),
-            &model,
-            "test",
-            1,
-            1,
-            EngineMode::EventDriven,
-            StreamConfig::single(),
-            &FaultPlan::empty(),
-            &workload,
-            &Scheme::base(),
-        );
+        let key_on = |cluster: Cluster| {
+            small()
+                .with_cluster(cluster)
+                .with_seed(1)
+                .cell_fingerprint(&workload, &Scheme::base())
+        };
+        let plain = key_on(Cluster::single(gpu.clone()));
+        let wrapped = key_on(Cluster::new(
+            vec![gpu.clone()],
+            InterconnectConfig::pcie_gen4(),
+        ));
         assert_eq!(plain, wrapped);
-        let multi = cell_key(
-            &Cluster::homogeneous(gpu, 2, InterconnectConfig::nvlink3()),
-            &model,
-            "test",
-            1,
-            1,
-            EngineMode::EventDriven,
-            StreamConfig::single(),
-            &FaultPlan::empty(),
-            &workload,
-            &Scheme::base(),
-        );
+        let multi = key_on(Cluster::homogeneous(gpu, 2, InterconnectConfig::nvlink3()));
         assert_ne!(plain, multi);
     }
 
@@ -607,18 +362,12 @@ mod tests {
         let base = key(&workload, &Scheme::base());
         // The empty plan is canonically the fault-free cell: no `faults`
         // key at all, byte-identical with the v1 encoding.
-        let empty = key_with_faults(
-            StreamConfig::single(),
-            &FaultPlan::empty(),
-            &workload,
-            &Scheme::base(),
-        );
+        let empty = key_with_faults(FaultPlan::empty(), &workload, &Scheme::base());
         assert_eq!(base, empty);
         assert!(!base.contains("\"faults\""));
         // Non-empty plans are distinct cells, per plan.
         let crashed = key_with_faults(
-            StreamConfig::single(),
-            &FaultPlan::new(vec![FaultEvent::crash(0, 1_000.0, 2_000.0)]),
+            FaultPlan::new(vec![FaultEvent::crash(0, 1_000.0, 2_000.0)]),
             &workload,
             &Scheme::base(),
         );
@@ -627,8 +376,7 @@ mod tests {
         assert_ne!(
             crashed,
             key_with_faults(
-                StreamConfig::single(),
-                &FaultPlan::new(vec![FaultEvent::drain(0, 1_000.0, 2_000.0)]),
+                FaultPlan::new(vec![FaultEvent::drain(0, 1_000.0, 2_000.0)]),
                 &workload,
                 &Scheme::base(),
             )
@@ -636,8 +384,7 @@ mod tests {
         assert_ne!(
             crashed,
             key_with_faults(
-                StreamConfig::single(),
-                &FaultPlan::new(vec![FaultEvent::crash(0, 1_000.0, 3_000.0)]),
+                FaultPlan::new(vec![FaultEvent::crash(0, 1_000.0, 3_000.0)]),
                 &workload,
                 &Scheme::base(),
             )

@@ -54,10 +54,11 @@
 //! 3. Implement the decision in [`RoutingPolicy::route`] using only the
 //!    cursor and the views. Break ties toward the lowest replica index so
 //!    the decision stays deterministic.
-//! 4. Extend `label` (and the JSON round trip) and register any new
-//!    config fields with the `analysis` auditor — routing partitions the
-//!    fleet fingerprint, so new knobs must appear in
-//!    `crates/core/src/fingerprint.rs` or the manifest.
+//! 4. Extend `label` and the JSON round trip. A new config field fails
+//!    `cargo build` in [`RoutingPolicy::to_json_value`], which destructures
+//!    the policy exhaustively: that encoder is also the policy's part of
+//!    the fleet fingerprint, so encoding the field there partitions fleet
+//!    keys by it.
 //!
 //! Autoscaling follows the same pattern: [`AutoscalePolicy::decide`] is a
 //! pure function from (offered rate, live capacity, live/pool counts,
@@ -215,11 +216,12 @@ impl RoutingPolicy {
         }
     }
 
-    /// The policy as a [`Json`] document.
+    /// The policy as a [`Json`] document (also its fleet-key encoding).
     pub fn to_json_value(&self) -> Json {
+        let RoutingPolicy { kind, ewma_alpha } = self;
         let mut doc = Json::object();
-        doc.set("kind", Json::Str(self.kind.name().to_string()));
-        doc.set("ewma_alpha", Json::Num(self.ewma_alpha));
+        doc.set("kind", Json::Str(kind.name().to_string()));
+        doc.set("ewma_alpha", Json::Num(*ewma_alpha));
         doc
     }
 
@@ -472,18 +474,23 @@ impl AutoscalePolicy {
         }
     }
 
-    /// The policy as a [`Json`] document.
+    /// The policy as a [`Json`] document (also its fleet-key encoding).
     pub fn to_json_value(&self) -> Json {
+        let AutoscalePolicy {
+            kind,
+            scale_out_threshold,
+            scale_in_threshold,
+            cooldown_intervals,
+            min_replicas,
+            max_replicas,
+        } = self;
         let mut doc = Json::object();
-        doc.set("kind", Json::Str(self.kind.name().to_string()));
-        doc.set("scale_out_threshold", Json::Num(self.scale_out_threshold));
-        doc.set("scale_in_threshold", Json::Num(self.scale_in_threshold));
-        doc.set(
-            "cooldown_intervals",
-            Json::UInt(self.cooldown_intervals as u64),
-        );
-        doc.set("min_replicas", Json::UInt(self.min_replicas as u64));
-        doc.set("max_replicas", Json::UInt(self.max_replicas as u64));
+        doc.set("kind", Json::Str(kind.name().to_string()));
+        doc.set("scale_out_threshold", Json::Num(*scale_out_threshold));
+        doc.set("scale_in_threshold", Json::Num(*scale_in_threshold));
+        doc.set("cooldown_intervals", Json::UInt(*cooldown_intervals as u64));
+        doc.set("min_replicas", Json::UInt(*min_replicas as u64));
+        doc.set("max_replicas", Json::UInt(*max_replicas as u64));
         doc
     }
 
@@ -631,12 +638,18 @@ impl FleetSpec {
         self.routing.is_identity() && self.autoscale.is_none()
     }
 
-    /// The spec as a [`Json`] document.
+    /// The spec as a [`Json`] document (also the fleet key's `fleet` axis,
+    /// before the replica groups are added).
     pub fn to_json_value(&self) -> Json {
+        let FleetSpec {
+            routing,
+            autoscale,
+            interval_us,
+        } = self;
         let mut doc = Json::object();
-        doc.set("routing", self.routing.to_json_value());
-        doc.set("autoscale", self.autoscale.to_json_value());
-        doc.set("interval_us", Json::Num(self.interval_us));
+        doc.set("routing", routing.to_json_value());
+        doc.set("autoscale", autoscale.to_json_value());
+        doc.set("interval_us", Json::Num(*interval_us));
         doc
     }
 
@@ -741,6 +754,27 @@ impl ReplicaGroup {
     /// Number of replica instances the group expands into.
     pub fn replicas(&self) -> u32 {
         self.replicas
+    }
+
+    /// The group's entry in the fleet key's `replicas` array: deployment,
+    /// scenario fault plan and replica count.
+    pub(crate) fn key_json(&self) -> Json {
+        let ReplicaGroup {
+            experiment,
+            scenario,
+            replicas,
+        } = self;
+        let mut doc = experiment.fleet_group_doc();
+        // Of the scenario only the fault plan is encoded: the rest is
+        // dispatch configuration (see `ServingScenario::pricing_experiment`).
+        // Known gap: so is a later group's batching policy, although it
+        // decides the batch shapes that group prices.
+        let faults = scenario.faults();
+        if !faults.is_empty() {
+            doc.set("faults", faults.key_json());
+        }
+        doc.set("count", Json::UInt(*replicas as u64));
+        doc
     }
 }
 
@@ -874,31 +908,26 @@ impl Fleet {
     /// # Panics
     /// Panics if the fleet has no replica groups.
     pub fn fingerprint(&self, workload: &Workload, scheme: &Scheme) -> String {
-        let g0 = self
-            .groups
+        let Fleet {
+            spec,
+            groups,
+            // The fleet-wide arrival trace is dispatch input, like a
+            // scenario's traffic: it decides which replica serves a request
+            // and when, never what a priced cell reports.
+            traffic: _,
+            requests: _,
+            seed: _,
+            // An execution knob, as on `Experiment`.
+            cache: _,
+        } = self;
+        let g0 = groups
             .first()
             .expect("a fleet needs at least one replica group");
-        let replica0 = pricing_experiment(g0).cell_doc(workload, scheme);
-        let groups: Vec<_> = self
-            .groups
-            .iter()
-            .map(|g| {
-                (
-                    g.experiment.cluster().clone(),
-                    g.experiment.streams(),
-                    g.scenario.faults().clone(),
-                    g.replicas,
-                )
-            })
-            .collect();
-        crate::fingerprint::fleet_key(
-            replica0,
-            &self.spec.routing,
-            &self.spec.autoscale,
-            self.spec.interval_us,
-            &groups,
-            self.is_identity(),
-        )
+        let replica0 = g0
+            .scenario
+            .pricing_experiment(&g0.experiment)
+            .cell_doc(workload, scheme);
+        crate::fingerprint::fleet_key(replica0, spec, groups, self.is_identity())
     }
 
     /// Routes the fleet-wide arrival trace across replicas, applies the
@@ -966,7 +995,9 @@ impl Fleet {
         if routing.kind != RoutingKind::RoundRobin {
             for replica in &mut pool {
                 let shape = replica.scenario.policy().shape(1);
-                let report = pricing_experiment_parts(&replica.experiment, &replica.scenario)
+                let report = replica
+                    .scenario
+                    .pricing_experiment(&replica.experiment)
                     .with_batch_size(shape)
                     .run(workload, scheme);
                 replica.est_service_us = report.latency_us;
@@ -1243,22 +1274,6 @@ impl Fleet {
             autoscale_events: events,
             replicas,
         }
-    }
-}
-
-/// The pricing experiment of one replica group: the group's experiment
-/// with the scenario's fault plan folded in, exactly the way
-/// [`ServingScenario::simulate`] prices — so fleet probes and replica
-/// pricing share cache cells with plain serving runs.
-fn pricing_experiment(group: &ReplicaGroup) -> Experiment {
-    pricing_experiment_parts(&group.experiment, &group.scenario)
-}
-
-fn pricing_experiment_parts(experiment: &Experiment, scenario: &ServingScenario) -> Experiment {
-    if scenario.faults().is_empty() {
-        experiment.clone()
-    } else {
-        experiment.clone().with_faults(scenario.faults().clone())
     }
 }
 

@@ -28,6 +28,8 @@ use gpu_sim::mem::MemorySystem;
 use gpu_sim::{EngineMode, GpuConfig, KernelLaunch, KernelProgram, KernelStats, Simulator};
 
 use crate::cache::CampaignCache;
+use crate::fingerprint::{model_to_json, FINGERPRINT_SCHEMA};
+use crate::json::Json;
 use crate::report::{
     ClusterBreakdown, DeviceBreakdown, EndToEndBreakdown, RunReport, TableBreakdown,
 };
@@ -301,21 +303,81 @@ impl Experiment {
         self.cell_doc(workload, scheme).render()
     }
 
-    /// The cell fingerprint as a [`Json`](crate::json::Json) document; the
-    /// fleet layer extends it with a `fleet` axis before rendering.
-    pub(crate) fn cell_doc(&self, workload: &Workload, scheme: &Scheme) -> crate::json::Json {
-        crate::fingerprint::cell_doc(
-            &self.cluster,
-            &self.model,
-            self.scale.name(),
-            self.seed,
-            self.tables_to_simulate,
-            self.sim.mode(),
-            self.streams,
-            &self.faults,
-            workload,
-            scheme,
-        )
+    /// The cell fingerprint as a [`Json`] document — the root encoder of
+    /// every cell key (see [`crate::fingerprint`]); the fleet layer
+    /// extends it with a `fleet` axis before rendering.
+    pub(crate) fn cell_doc(&self, workload: &Workload, scheme: &Scheme) -> Json {
+        let Experiment {
+            cluster,
+            sim,
+            model,
+            scale,
+            tables_to_simulate,
+            seed,
+            streams,
+            faults,
+            // Execution knobs: reports do not depend on the thread count,
+            // and a cache hit returns the very report a miss computes.
+            threads: _,
+            cache: _,
+        } = self;
+        let mut doc = Json::object();
+        doc.set("schema", Json::Str(FINGERPRINT_SCHEMA.to_string()));
+        cluster.set_key_axes(&mut doc);
+        doc.set("model", model_to_json(model));
+        doc.set("scale", Json::Str(scale.name().to_string()));
+        doc.set("seed", Json::UInt(*seed));
+        doc.set("tables_to_simulate", Json::UInt(*tables_to_simulate as u64));
+        // The simulator's device is the cluster root, encoded above; its
+        // engine mode is the one setting of its own.
+        doc.set("engine_mode", Json::Str(sim.mode().name().to_string()));
+        // A single stream is canonically the pre-stream experiment: the key
+        // omits the axis entirely, so K=1 keys stay byte-identical with the
+        // earlier encoding and persisted caches remain loadable.
+        if !streams.is_single() {
+            doc.set("streams", streams.key_json());
+        }
+        // The empty fault plan is canonically the fault-free experiment: the
+        // key omits the axis entirely, keeping pre-fault keys byte-identical
+        // and persisted caches warm. A non-empty plan partitions cells
+        // conservatively — the plan shapes serving-layer dispatch rather than
+        // the priced kernels, but a resilience study must never alias a
+        // fault-free study's cells in a persisted cache.
+        if !faults.is_empty() {
+            doc.set("faults", faults.key_json());
+        }
+        doc.set("workload", workload.key_json());
+        doc.set("scheme", scheme.key_json());
+        doc
+    }
+
+    /// The deployment half of one fleet replica-group entry: the `gpu`,
+    /// `cluster` and (for K > 1) `streams` axes of this experiment.
+    pub(crate) fn fleet_group_doc(&self) -> Json {
+        let Experiment {
+            cluster,
+            streams,
+            // Known gap: a group entry encodes only the deployment, so
+            // fleets that differ only in a later group's model, scale,
+            // seed, tables-to-simulate, engine mode or own fault plan share
+            // a key (replica group 0 is covered by the replica-0 cell
+            // document). `Fleet::fingerprint` has no caller outside tests.
+            sim: _,
+            model: _,
+            scale: _,
+            tables_to_simulate: _,
+            seed: _,
+            faults: _,
+            // Execution knobs, as in `cell_doc`.
+            threads: _,
+            cache: _,
+        } = self;
+        let mut doc = Json::object();
+        cluster.set_key_axes(&mut doc);
+        if !streams.is_single() {
+            doc.set("streams", streams.key_json());
+        }
+        doc
     }
 
     /// The canonical cache-cell key of this experiment for `workload` under

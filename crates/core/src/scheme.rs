@@ -15,6 +15,9 @@
 use embedding_kernels::{BufferStation, EmbeddingKernelSpec, PrefetchConfig};
 use gpu_sim::GpuConfig;
 
+use crate::fingerprint::prefetch_to_json;
+use crate::json::Json;
+
 /// How warp-level parallelism is configured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Multithreading {
@@ -33,6 +36,19 @@ pub struct L2Pinning {
     /// Carve-out size in bytes; `None` uses the device maximum (30 MB on the
     /// A100, i.e. 75% of the 40 MB L2).
     pub carveout_bytes: Option<u64>,
+}
+
+impl L2Pinning {
+    /// The `l2_pinning` object of the scheme's cell-key axis.
+    fn key_json(&self) -> Json {
+        let L2Pinning { carveout_bytes } = self;
+        let mut doc = Json::object();
+        doc.set(
+            "carveout_bytes",
+            carveout_bytes.map_or(Json::Null, Json::UInt),
+        );
+        doc
+    }
 }
 
 /// One optimization scheme: a combination of multithreading, prefetching and
@@ -140,6 +156,33 @@ impl Scheme {
     /// The L2 pinning configuration, if any.
     pub fn l2_pinning(&self) -> Option<L2Pinning> {
         self.l2_pinning
+    }
+
+    /// The `scheme` cell-key axis (see [`crate::fingerprint`]).
+    pub(crate) fn key_json(&self) -> Json {
+        let Scheme {
+            multithreading,
+            prefetch,
+            l2_pinning,
+        } = self;
+        let mut doc = Json::object();
+        doc.set(
+            "multithreading",
+            Json::Str(match multithreading {
+                Multithreading::Default => "default".to_string(),
+                Multithreading::OptMt => "optmt".to_string(),
+                Multithreading::MaxRegisters(r) => format!("maxrreg{r}"),
+            }),
+        );
+        doc.set(
+            "prefetch",
+            prefetch.as_ref().map_or(Json::Null, prefetch_to_json),
+        );
+        doc.set(
+            "l2_pinning",
+            l2_pinning.as_ref().map_or(Json::Null, L2Pinning::key_json),
+        );
+        doc
     }
 
     /// The L2 carve-out in bytes this scheme uses on `cfg`, if pinning is

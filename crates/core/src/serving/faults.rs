@@ -243,13 +243,22 @@ impl FaultEvent {
         }
     }
 
-    fn to_json_value(self) -> Json {
+    /// The event as a [`Json`] document: the encoding of both the
+    /// fault-plan JSON and the `faults` cell-key axis.
+    pub(crate) fn to_json_value(self) -> Json {
+        let FaultEvent {
+            device,
+            kind,
+            start_us,
+            end_us,
+            factor,
+        } = self;
         let mut doc = Json::object();
-        doc.set("device", Json::UInt(self.device as u64));
-        doc.set("kind", Json::Str(self.kind.name().to_string()));
-        doc.set("start_us", Json::Num(self.start_us));
-        doc.set("end_us", Json::Num(self.end_us));
-        doc.set("factor", Json::Num(self.factor));
+        doc.set("device", Json::UInt(device as u64));
+        doc.set("kind", Json::Str(kind.name().to_string()));
+        doc.set("start_us", Json::Num(start_us));
+        doc.set("end_us", Json::Num(end_us));
+        doc.set("factor", Json::Num(factor));
         doc
     }
 
@@ -471,11 +480,16 @@ impl FaultPlan {
     pub fn to_json_value(&self) -> Json {
         let mut doc = Json::object();
         doc.set("schema", Json::Str(FAULT_PLAN_SCHEMA.to_string()));
-        doc.set(
-            "events",
-            Json::Arr(self.events.iter().map(|e| e.to_json_value()).collect()),
-        );
+        doc.set("events", self.key_json());
         doc
+    }
+
+    /// The events as a [`Json`] array: the `faults` cell-key axis (see
+    /// [`crate::fingerprint`]), which callers omit for the empty plan so
+    /// fault-free keys stay byte-identical with the pre-fault encoding.
+    pub(crate) fn key_json(&self) -> Json {
+        let FaultPlan { events } = self;
+        Json::Arr(events.iter().map(|e| e.to_json_value()).collect())
     }
 
     /// Parses a plan back from [`FaultPlan::to_json`] output.

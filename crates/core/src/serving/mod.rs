@@ -297,6 +297,36 @@ impl ServingScenario {
         self.admission
     }
 
+    /// The experiment this scenario prices its batch shapes on:
+    /// `experiment` with the scenario's fault plan folded in, so a
+    /// resilience study's cells never alias a fault-free study's in a
+    /// persisted cache (the empty plan changes nothing — v1 keys stay
+    /// byte-identical). The fleet layer prices replicas the same way, so
+    /// fleet probes share cells with plain serving runs.
+    pub(crate) fn pricing_experiment(&self, experiment: &Experiment) -> Experiment {
+        let ServingScenario {
+            faults,
+            // Dispatch configuration: these decide which requests are
+            // served, when and in which batch shapes, and so shape the
+            // ServingReport; each priced shape reaches the cell key through
+            // the model's batch size, never through these fields.
+            traffic: _,
+            policy: _,
+            requests: _,
+            sla_us: _,
+            seed: _,
+            bisection_steps: _,
+            relative_tolerance: _,
+            retry: _,
+            admission: _,
+        } = self;
+        if faults.is_empty() {
+            experiment.clone()
+        } else {
+            experiment.clone().with_faults(faults.clone())
+        }
+    }
+
     /// Runs the discrete-event serving simulation of this scenario for
     /// `workload` under `scheme` on `experiment`'s deployment (device or
     /// cluster) and reports what the request stream experienced.
@@ -410,14 +440,7 @@ impl ServingScenario {
             return (report, Vec::new());
         }
         let have_faults = !plan.is_empty();
-        // Pricing inherits the fault plan so a resilience study's cells
-        // never alias a fault-free study's in a persisted cache (the
-        // empty plan changes nothing — v1 keys stay byte-identical).
-        let pricing = if have_faults {
-            experiment.clone().with_faults(plan.clone())
-        } else {
-            experiment.clone()
-        };
+        let pricing = self.pricing_experiment(experiment);
 
         // What the queue model needs from one priced batch shape: its
         // service latency, its all-to-all share (what interconnect

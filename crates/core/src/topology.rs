@@ -49,6 +49,9 @@
 use dlrm_datasets::{pattern_coverage_skew, AccessPattern, HeterogeneousMix};
 use gpu_sim::{GpuConfig, StreamPartition};
 
+use crate::fingerprint::gpu_to_json;
+use crate::json::Json;
+
 /// The inter-device fabric: one full-duplex link per device with a fixed
 /// per-collective latency. See the [module docs](self) for the model's
 /// assumptions.
@@ -98,6 +101,20 @@ impl InterconnectConfig {
     /// PCIe Gen4 x16 fallback fabric: ~25 GB/s effective per device.
     pub fn pcie_gen4() -> Self {
         InterconnectConfig::new("PCIe4x16", 5.0, 25.0)
+    }
+
+    /// The fabric's cell-key encoding (see [`crate::fingerprint`]).
+    pub(crate) fn key_json(&self) -> Json {
+        let InterconnectConfig {
+            name,
+            link_latency_us,
+            link_bandwidth_gbps,
+        } = self;
+        let mut doc = Json::object();
+        doc.set("name", Json::Str(name.clone()));
+        doc.set("link_latency_us", Json::Num(*link_latency_us));
+        doc.set("link_bandwidth_gbps", Json::Num(*link_bandwidth_gbps));
+        doc
     }
 
     /// Time in microseconds for the all-to-all that gathers every non-root
@@ -250,6 +267,31 @@ impl Cluster {
             .min()
             .expect("a cluster holds at least one device")
     }
+
+    /// Sets the cell key's `gpu` axis (the root device) and `cluster` axis
+    /// (every device plus the fabric) on `doc` (see
+    /// [`crate::fingerprint`]). A single-device cluster encodes `cluster`
+    /// as null: its interconnect is never exercised, so two experiments
+    /// that differ only in how the lone device was wrapped share cells.
+    pub(crate) fn set_key_axes(&self, doc: &mut Json) {
+        let Cluster {
+            devices,
+            interconnect,
+        } = self;
+        doc.set("gpu", gpu_to_json(self.root()));
+        let cluster = if self.is_single() {
+            Json::Null
+        } else {
+            let mut c = Json::object();
+            c.set(
+                "devices",
+                Json::Arr(devices.iter().map(gpu_to_json).collect()),
+            );
+            c.set("interconnect", interconnect.key_json());
+            c
+        };
+        doc.set("cluster", cluster);
+    }
 }
 
 /// How many kernel streams are concurrently resident on each device of an
@@ -335,6 +377,17 @@ impl StreamConfig {
             streams,
             StreamPartition::from_name(partition)?,
         ))
+    }
+
+    /// The `streams` cell-key axis (see [`crate::fingerprint`]). Callers
+    /// omit the axis for the single stream, which keeps K=1 keys
+    /// byte-identical with the pre-stream encoding.
+    pub(crate) fn key_json(&self) -> Json {
+        let StreamConfig { streams, partition } = self;
+        let mut doc = Json::object();
+        doc.set("streams", Json::UInt(*streams as u64));
+        doc.set("partition", Json::Str(partition.name().to_string()));
+        doc
     }
 }
 

@@ -16,6 +16,7 @@
 
 use dlrm_datasets::{AccessPattern, HeterogeneousMix};
 
+use crate::json::Json;
 use crate::topology::ShardingSpec;
 
 /// The dataset an embedding-stage or end-to-end workload runs over: either
@@ -45,6 +46,34 @@ impl Dataset {
             Dataset::Homogeneous(pattern) => HeterogeneousMix::homogeneous(*pattern, num_tables),
             Dataset::Mix(mix) => mix.clone(),
         }
+    }
+
+    /// The `dataset` object of the workload's cell-key axis. A mix is
+    /// encoded through its accessors, which expose both of its fields.
+    fn key_json(&self) -> Json {
+        let mut doc = Json::object();
+        match self {
+            Dataset::Homogeneous(pattern) => {
+                doc.set("pattern", Json::Str(pattern.paper_name().to_string()));
+            }
+            Dataset::Mix(mix) => {
+                let composition = mix
+                    .composition()
+                    .iter()
+                    .map(|&(pattern, count)| {
+                        Json::Arr(vec![
+                            Json::Str(pattern.paper_name().to_string()),
+                            Json::UInt(count as u64),
+                        ])
+                    })
+                    .collect();
+                let mut m = Json::object();
+                m.set("name", Json::Str(mix.name().to_string()));
+                m.set("composition", Json::Arr(composition));
+                doc.set("mix", m);
+            }
+        }
+        doc
     }
 }
 
@@ -162,6 +191,29 @@ impl Workload {
                 dataset.label()
             }
         }
+    }
+
+    /// The `workload` cell-key axis (see [`crate::fingerprint`]).
+    pub(crate) fn key_json(&self) -> Json {
+        let Workload { target, sharding } = self;
+        let mut doc = Json::object();
+        doc.set("kind", Json::Str(self.kind().name().to_string()));
+        match target {
+            WorkloadTarget::Kernel(pattern) => {
+                doc.set("pattern", Json::Str(pattern.paper_name().to_string()));
+            }
+            WorkloadTarget::EmbeddingStage(dataset) | WorkloadTarget::EndToEnd(dataset) => {
+                doc.set("dataset", dataset.key_json());
+            }
+        }
+        doc.set(
+            "sharding",
+            match sharding {
+                Some(spec) => Json::Str(spec.name().to_string()),
+                None => Json::Null,
+            },
+        );
+        doc
     }
 
     /// A full label combining kind and dataset, e.g. `"kernel/random"`;
