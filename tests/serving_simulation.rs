@@ -14,11 +14,11 @@
 
 use dlrm::WorkloadScale;
 use dlrm_datasets::{AccessPattern, HeterogeneousMix, MixKind};
-use gpu_sim::{EngineMode, GpuConfig};
+use gpu_sim::{EngineMode, GpuConfig, StreamPartition};
 use perf_envelope::{
-    max_sustainable_qps, select_scheme, BatchingPolicy, CampaignCache, Cluster, Experiment,
-    InterconnectConfig, Scheme, ServingReport, ServingScenario, ShardingSpec, TrafficModel,
-    Workload,
+    max_sustainable_qps, select_scheme, AdmissionPolicy, BatchingPolicy, CampaignCache,
+    CapacityResult, Cluster, Experiment, FaultEvent, FaultPlan, InterconnectConfig, RetryPolicy,
+    Scheme, ServingReport, ServingScenario, ShardingSpec, StreamConfig, TrafficModel, Workload,
 };
 
 fn exp() -> Experiment {
@@ -401,4 +401,215 @@ fn scheme_selection_prefers_the_cheapest_qualifying_scheme() {
         opt_cap.max_qps
     );
     assert!(escalated.report.meets_sla());
+}
+
+/// Which way a capacity search ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SearchEnd {
+    /// The first probe met the SLA and the search bracketed upward.
+    BracketedUp,
+    /// The first probe violated the SLA and the search bracketed downward.
+    BracketedDown,
+    /// Even the lightest probed load violated the SLA.
+    ZeroCapacity,
+    /// More than 64 probes met the SLA without the bracket closing.
+    Unbounded,
+}
+
+/// The capacity search written out step for step, with a full
+/// `ServingScenario::simulate` at every probe and the verdict read from the
+/// probe's report: the reference `max_sustainable_qps` must reproduce bit
+/// for bit, whatever it does internally to decide each probe.
+fn reference_capacity_search(
+    experiment: &Experiment,
+    workload: &Workload,
+    scheme: &Scheme,
+    scenario: &ServingScenario,
+) -> (CapacityResult, SearchEnd) {
+    let probes = std::cell::Cell::new(0u32);
+    let probe = |qps: f64| -> ServingReport {
+        probes.set(probes.get() + 1);
+        scenario
+            .clone()
+            .with_traffic(scenario.traffic().at_qps(qps))
+            .simulate(experiment, workload, scheme)
+    };
+    let max_batch = scenario.policy().max_batch();
+    let full_batch_service_us = experiment
+        .clone()
+        .with_batch_size(scenario.policy().shape(max_batch))
+        .run(workload, scheme)
+        .latency_us;
+    let saturation_qps = max_batch as f64 / full_batch_service_us * 1e6;
+
+    let (mut lo, mut hi);
+    let mut lo_report;
+    let end;
+    let first = probe(saturation_qps);
+    if first.meets_sla() {
+        end = SearchEnd::BracketedUp;
+        lo = saturation_qps;
+        lo_report = first;
+        hi = lo * 2.0;
+        loop {
+            let report = probe(hi);
+            if !report.meets_sla() {
+                break;
+            }
+            lo = hi;
+            lo_report = report;
+            hi *= 2.0;
+            if probes.get() > 64 {
+                let result = CapacityResult {
+                    max_qps: lo,
+                    probes: probes.get(),
+                    report: lo_report,
+                };
+                return (result, SearchEnd::Unbounded);
+            }
+        }
+    } else {
+        end = SearchEnd::BracketedDown;
+        hi = saturation_qps;
+        lo = hi / 2.0;
+        let mut lightest = first;
+        loop {
+            if lo < 1e-3 {
+                let result = CapacityResult {
+                    max_qps: 0.0,
+                    probes: probes.get(),
+                    report: lightest,
+                };
+                return (result, SearchEnd::ZeroCapacity);
+            }
+            let report = probe(lo);
+            if report.meets_sla() {
+                lo_report = report;
+                break;
+            }
+            lightest = report;
+            lo /= 2.0;
+        }
+    }
+    for _ in 0..scenario.bisection_steps() {
+        if let Some(tolerance) = scenario.relative_tolerance() {
+            if hi - lo <= tolerance * hi {
+                break;
+            }
+        }
+        let mid = (lo + hi) / 2.0;
+        let report = probe(mid);
+        if report.meets_sla() {
+            lo = mid;
+            lo_report = report;
+        } else {
+            hi = mid;
+        }
+    }
+    let result = CapacityResult {
+        max_qps: lo,
+        probes: probes.get(),
+        report: lo_report,
+    };
+    (result, end)
+}
+
+#[test]
+fn capacity_search_matches_the_probe_by_probe_reference() {
+    let e = exp().with_cache(CampaignCache::new());
+    let workload = Workload::stage(AccessPattern::MedHot);
+    let scheme = Scheme::base();
+    let service_us = e
+        .clone()
+        .with_batch_size(256)
+        .run(&workload, &scheme)
+        .latency_us;
+    let scenario = |sla_multiple: f64| {
+        ServingScenario::new(
+            TrafficModel::poisson(1_000.0),
+            BatchingPolicy::adaptive(16, 256),
+        )
+        .with_requests(2048)
+        .with_seed(5)
+        .with_sla_us(service_us * sla_multiple)
+    };
+    let two_streams = e
+        .clone()
+        .with_streams(StreamConfig::new(2, StreamPartition::Interleaved));
+    let cases: Vec<(&str, Experiment, ServingScenario, Option<SearchEnd>)> = vec![
+        (
+            "a first probe that passes",
+            e.clone(),
+            scenario(8.0),
+            Some(SearchEnd::BracketedUp),
+        ),
+        (
+            "a search that brackets down",
+            e.clone(),
+            scenario(1.5),
+            Some(SearchEnd::BracketedDown),
+        ),
+        (
+            "zero capacity",
+            e.clone(),
+            scenario(0.5),
+            Some(SearchEnd::ZeroCapacity),
+        ),
+        (
+            "a relative tolerance",
+            e.clone(),
+            scenario(3.0).with_relative_tolerance(0.02),
+            None,
+        ),
+        (
+            "a queue-depth admission",
+            e.clone(),
+            scenario(3.0).with_admission(AdmissionPolicy::queue_depth(32)),
+            None,
+        ),
+        (
+            "an admission that sheds every request",
+            e.clone(),
+            scenario(0.5).with_admission(AdmissionPolicy::sla_aware(1.0)),
+            Some(SearchEnd::Unbounded),
+        ),
+        (
+            "a fault plan",
+            e.clone(),
+            scenario(3.0)
+                .with_faults(FaultPlan::new(vec![
+                    FaultEvent::crash(0, 2.0 * service_us, 6.0 * service_us),
+                    FaultEvent::straggler(0, 10.0 * service_us, 30.0 * service_us, 1.5),
+                ]))
+                .with_retry(RetryPolicy::fixed(2, service_us)),
+            None,
+        ),
+        ("K=2 streams", two_streams.clone(), scenario(3.0), None),
+        (
+            "K=2 streams with hedging",
+            two_streams,
+            scenario(3.0).with_retry(RetryPolicy::hedged(1.5)),
+            None,
+        ),
+    ];
+    for (name, experiment, scenario, expected_end) in cases {
+        let (reference, end) =
+            reference_capacity_search(&experiment, &workload, &scheme, &scenario);
+        if let Some(expected_end) = expected_end {
+            assert_eq!(end, expected_end, "{name}: the case must reach its branch");
+        }
+        let searched = max_sustainable_qps(&experiment, &workload, &scheme, &scenario);
+        assert_eq!(
+            searched.max_qps.to_bits(),
+            reference.max_qps.to_bits(),
+            "{name}: max_qps"
+        );
+        assert_eq!(searched.probes, reference.probes, "{name}: probes");
+        assert_eq!(searched.report, reference.report, "{name}: report");
+        assert_eq!(
+            searched.report.to_json(),
+            reference.report.to_json(),
+            "{name}: report JSON"
+        );
+    }
 }
