@@ -1049,6 +1049,9 @@ impl Fleet {
         } else {
             f64::INFINITY
         };
+        // The router's views of the live set, rebuilt for every request in
+        // one reused buffer.
+        let mut views: Vec<ReplicaView> = Vec::with_capacity(pool.len());
         let mut i = 0usize;
         while i < arrivals.len() {
             let t = arrivals[i];
@@ -1131,15 +1134,13 @@ impl Fleet {
                     }
                 }
             }
-            let views: Vec<ReplicaView> = live
-                .iter()
-                .map(|&r| ReplicaView {
-                    replica: r as u32,
-                    routed: pool[r].routed,
-                    outstanding: pool[r].outstanding.len() as u32,
-                    ewma_latency_us: pool[r].ewma_us,
-                })
-                .collect();
+            views.clear();
+            views.extend(live.iter().map(|&r| ReplicaView {
+                replica: r as u32,
+                routed: pool[r].routed,
+                outstanding: pool[r].outstanding.len() as u32,
+                ewma_latency_us: pool[r].ewma_us,
+            }));
             let choice = live[routing.route(cursor, &views)];
             let replica = &mut pool[choice];
             replica.arrivals.push(t);

@@ -328,9 +328,12 @@ impl Experiment {
         doc.set("scale", Json::Str(scale.name().to_string()));
         doc.set("seed", Json::UInt(*seed));
         doc.set("tables_to_simulate", Json::UInt(*tables_to_simulate as u64));
-        // The simulator's device is the cluster root, encoded above; its
-        // engine mode is the one setting of its own.
-        doc.set("engine_mode", Json::Str(sim.mode().name().to_string()));
+        // The simulator's device is the cluster root, encoded above;
+        // `key_settings` destructures the rest of it exhaustively.
+        doc.set(
+            "engine_mode",
+            Json::Str(sim.key_settings().name().to_string()),
+        );
         // A single stream is canonically the pre-stream experiment: the key
         // omits the axis entirely, so K=1 keys stay byte-identical with the
         // earlier encoding and persisted caches remain loadable.

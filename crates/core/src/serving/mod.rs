@@ -59,10 +59,17 @@
 //! the report); the empty plan with the no-op policies is **bit-exact**
 //! with the fault-free path, held by `tests/resilience_equivalence.rs`.
 //!
+//! A simulation is two steps: the dispatch loop, which books every served
+//! request's latency and counts the ones over the SLA, and the report
+//! build, which sorts the latencies for the percentiles. The SLA verdict
+//! needs only the count, because the p99 is within the SLA exactly when at
+//! least its nearest rank of latencies are.
+//!
 //! On top of the simulator, [`select_scheme`] picks the cheapest
 //! [`Scheme`] meeting the SLA at a target load, and [`max_sustainable_qps`]
 //! binary-searches a deployment's capacity: the highest offered QPS whose
-//! p99 still meets the SLA.
+//! p99 still meets the SLA. Its probes run only the dispatch loop and
+//! decide by counting; only the rate it returns is simulated in full.
 //!
 //! # Worked example
 //!
@@ -355,9 +362,20 @@ impl ServingScenario {
             .0
     }
 
+    /// Whether the [`simulate`](ServingScenario::simulate) report would
+    /// meet the SLA ([`ServingReport::meets_sla`]), decided from the
+    /// dispatch loop's SLA-violation count: no latency is sorted and no
+    /// report is built. This is all a capacity-search probe asks.
+    fn meets_sla(&self, experiment: &Experiment, workload: &Workload, scheme: &Scheme) -> bool {
+        let arrivals = self.traffic.arrival_times_us(self.requests, self.seed);
+        let run = self.dispatch(experiment, workload, scheme, &arrivals);
+        LatencyStats::p99_meets_sla(run.latencies.len(), run.violations, self.sla_us)
+    }
+
     /// The arrival-trace-driven core of [`ServingScenario::simulate`]: runs
-    /// the same dispatch loop over an explicit (ascending) arrival trace
-    /// instead of one generated from the scenario's own traffic model.
+    /// the dispatch loop over an explicit (ascending) arrival trace instead
+    /// of one generated from the scenario's own traffic model, then builds
+    /// the report from what the loop left behind.
     ///
     /// This is what lets the fleet layer route one fleet-wide trace across
     /// replicas and still inherit bit-exactness: when `arrivals` is exactly
@@ -374,71 +392,23 @@ impl ServingScenario {
         scheme: &Scheme,
         arrivals: &[f64],
     ) -> (ServingReport, Vec<f64>) {
+        let run = self.dispatch(experiment, workload, scheme, arrivals);
+        self.report(experiment, workload, scheme, run)
+    }
+
+    /// The dispatch loop: forms, prices, sheds, launches and retries the
+    /// batches of `arrivals` and books every served request's latency. It
+    /// sorts nothing; [`ServingScenario::report`] does that.
+    fn dispatch(
+        &self,
+        experiment: &Experiment,
+        workload: &Workload,
+        scheme: &Scheme,
+        arrivals: &[f64],
+    ) -> Dispatch {
         let num_devices = experiment.cluster().num_devices();
         let plan = &self.faults;
         plan.validate(num_devices);
-        if arrivals.is_empty() {
-            // An idle replica: nothing offered, so nothing served, shed or
-            // failed — availability is 1.0 by convention (no request was
-            // lost). Only the fleet layer can reach this branch;
-            // `with_requests` rejects zero-request scenarios.
-            let k = experiment.streams().streams();
-            let report = ServingReport {
-                workload: workload.dataset_label(),
-                scheme: scheme.paper_label(),
-                device: experiment.gpu().name.clone(),
-                scale: experiment.scale().name().to_string(),
-                seed: self.seed,
-                traffic: self.traffic.name().to_string(),
-                offered_qps: self.traffic.offered_qps(),
-                policy: self.policy.label(),
-                sla_us: self.sla_us,
-                requests: 0,
-                served_requests: 0,
-                shed_requests: 0,
-                failed_requests: 0,
-                retries: 0,
-                hedges: 0,
-                availability: 1.0,
-                goodput_qps: 0.0,
-                fault_events: plan
-                    .events()
-                    .iter()
-                    .map(|event| FaultTimelineEntry {
-                        event: event.label(),
-                        start_us: event.start_us(),
-                        end_us: event.end_us(),
-                        batches_affected: 0,
-                        requests_affected: 0,
-                    })
-                    .collect(),
-                batches: 0,
-                shapes: Vec::new(),
-                achieved_qps: 0.0,
-                latency: LatencyStats::zeroed(),
-                mean_batch_wait_us: 0.0,
-                mean_queue_wait_us: 0.0,
-                sla_violation_rate: 0.0,
-                utilization: (0..num_devices)
-                    .map(|d| DeviceUtilization {
-                        device: experiment.cluster().device(d).name.clone(),
-                        busy_us: 0.0,
-                        utilization: 0.0,
-                    })
-                    .collect(),
-                streams: k,
-                stream_utilization: (0..k)
-                    .map(|s| StreamUtilization {
-                        stream: s,
-                        busy_us: 0.0,
-                        batches: 0,
-                        utilization: 0.0,
-                    })
-                    .collect(),
-                makespan_us: 0.0,
-            };
-            return (report, Vec::new());
-        }
         let have_faults = !plan.is_empty();
         let pricing = self.pricing_experiment(experiment);
 
@@ -493,6 +463,7 @@ impl ServingScenario {
         let mut pending: Vec<PendingBatch> = Vec::new();
 
         let mut latencies = Vec::with_capacity(arrivals.len());
+        let mut violations = 0usize;
         let mut batch_wait_sum = 0.0;
         let mut queue_wait_sum = 0.0;
         let mut busy_us = vec![0.0f64; num_devices];
@@ -741,19 +712,80 @@ impl ServingScenario {
                         let batch_wait = close_us - arrival;
                         batch_wait_sum += batch_wait;
                         queue_wait_sum += queue_wait;
-                        latencies.push(batch_wait + queue_wait + winner_service);
+                        let latency = batch_wait + queue_wait + winner_service;
+                        if latency > self.sla_us {
+                            violations += 1;
+                        }
+                        latencies.push(latency);
                     }
                 }
                 None => failed_requests += len as u32,
             }
         }
 
-        let makespan_us = stream_free.iter().copied().fold(0.0f64, f64::max);
+        debug_assert_eq!(
+            latencies.len() as u32 + shed_requests + failed_requests,
+            arrivals.len() as u32
+        );
+        Dispatch {
+            offered: arrivals.len() as u32,
+            latencies,
+            violations,
+            batch_wait_sum,
+            queue_wait_sum,
+            shed_requests,
+            failed_requests,
+            retries,
+            hedges,
+            batches,
+            shapes: shape_counts
+                .iter()
+                .map(|(&shape, &count)| BatchShapeStats {
+                    shape,
+                    batches: count,
+                    latency_us: priced[&shape].latency_us,
+                })
+                .collect(),
+            event_batches,
+            event_requests,
+            busy_us,
+            makespan_us: stream_free.iter().copied().fold(0.0f64, f64::max),
+            stream_busy_us,
+            stream_batches,
+        }
+    }
+
+    /// The report build: sorts the served latencies and derives the
+    /// percentiles, rates and utilizations from one [`Dispatch`].
+    fn report(
+        &self,
+        experiment: &Experiment,
+        workload: &Workload,
+        scheme: &Scheme,
+        run: Dispatch,
+    ) -> (ServingReport, Vec<f64>) {
+        let Dispatch {
+            offered,
+            latencies,
+            violations,
+            batch_wait_sum,
+            queue_wait_sum,
+            shed_requests,
+            failed_requests,
+            retries,
+            hedges,
+            batches,
+            shapes,
+            event_batches,
+            event_requests,
+            busy_us,
+            makespan_us,
+            stream_busy_us,
+            stream_batches,
+        } = run;
         let served = latencies.len() as u32;
-        let offered = arrivals.len() as u32;
-        debug_assert_eq!(served + shed_requests + failed_requests, offered);
         let served_f = served as f64;
-        let violations = latencies.iter().filter(|&&l| l > self.sla_us).count();
+        let k = stream_busy_us.len();
         let mut sorted = latencies;
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
 
@@ -773,13 +805,20 @@ impl ServingScenario {
             failed_requests,
             retries,
             hedges,
-            availability: served_f / offered as f64,
+            // An idle replica (an empty trace, which only the fleet layer
+            // can route) lost no request: availability 1.0 by convention.
+            availability: if offered == 0 {
+                1.0
+            } else {
+                served_f / offered as f64
+            },
             goodput_qps: if makespan_us > 0.0 {
                 (served_f - violations as f64) / makespan_us * 1e6
             } else {
                 0.0
             },
-            fault_events: plan
+            fault_events: self
+                .faults
                 .events()
                 .iter()
                 .enumerate()
@@ -792,14 +831,7 @@ impl ServingScenario {
                 })
                 .collect(),
             batches,
-            shapes: shape_counts
-                .iter()
-                .map(|(&shape, &count)| BatchShapeStats {
-                    shape,
-                    batches: count,
-                    latency_us: priced[&shape].latency_us,
-                })
-                .collect(),
+            shapes,
             achieved_qps: if makespan_us > 0.0 {
                 served_f / makespan_us * 1e6
             } else {
@@ -825,12 +857,14 @@ impl ServingScenario {
             } else {
                 violations as f64 / served_f
             },
-            utilization: (0..num_devices)
-                .map(|d| DeviceUtilization {
+            utilization: busy_us
+                .iter()
+                .enumerate()
+                .map(|(d, &busy)| DeviceUtilization {
                     device: experiment.cluster().device(d).name.clone(),
-                    busy_us: busy_us[d],
+                    busy_us: busy,
                     utilization: if makespan_us > 0.0 {
-                        busy_us[d] / (makespan_us * k as f64)
+                        busy / (makespan_us * k as f64)
                     } else {
                         0.0
                     },
@@ -853,6 +887,29 @@ impl ServingScenario {
         };
         (report, sorted)
     }
+}
+
+/// What one pass of [`ServingScenario::dispatch`] leaves behind: the served
+/// requests' latencies in completion order (unsorted) with how many exceed
+/// the SLA, and the counters the report is built from.
+struct Dispatch {
+    offered: u32,
+    latencies: Vec<f64>,
+    violations: usize,
+    batch_wait_sum: f64,
+    queue_wait_sum: f64,
+    shed_requests: u32,
+    failed_requests: u32,
+    retries: u32,
+    hedges: u32,
+    batches: u32,
+    shapes: Vec<BatchShapeStats>,
+    event_batches: Vec<u32>,
+    event_requests: Vec<u32>,
+    busy_us: Vec<f64>,
+    makespan_us: f64,
+    stream_busy_us: Vec<f64>,
+    stream_batches: Vec<u32>,
 }
 
 /// Applies the fault timeline to one dispatch attempt: the actual start
@@ -988,10 +1045,13 @@ pub struct CapacityResult {
     /// Highest probed offered QPS whose p99 met the SLA (`0.0` when even
     /// the lightest probed load violates it).
     pub max_qps: f64,
-    /// Number of serving simulations the search ran.
+    /// Number of SLA-verdict probes the search ran (the one full
+    /// simulation behind `report` is not counted).
     pub probes: u32,
     /// The serving report at `max_qps` (at the lightest probed load when
-    /// `max_qps` is `0.0`).
+    /// `max_qps` is `0.0`), from one full simulation of that rate after
+    /// the search: bit for bit the report a full simulation at every probe
+    /// would have kept.
     pub report: ServingReport,
 }
 
@@ -1002,23 +1062,27 @@ pub struct CapacityResult {
 ///
 /// The search seeds itself with the deployment's saturation throughput
 /// (`max_batch / full-batch service latency`), brackets the SLA boundary by
-/// doubling/halving, then bisects. Every step is a deterministic serving
-/// simulation, so the result is reproducible bit-for-bit; distinct batch
-/// shapes are priced through the experiment's cache, so the sweep re-prices
-/// nothing it has already seen.
+/// doubling/halving, then bisects. It runs verdict probes, then one full
+/// simulation: each probe runs the deterministic serving dispatch loop and
+/// decides the SLA by counting violations, and only the rate the search
+/// returns is simulated in full, for its report. The result is
+/// reproducible bit-for-bit; distinct batch shapes are priced through the
+/// experiment's cache, so the sweep re-prices nothing it has already seen.
 pub fn max_sustainable_qps(
     experiment: &Experiment,
     workload: &Workload,
     scheme: &Scheme,
     scenario: &ServingScenario,
 ) -> CapacityResult {
-    let probes = std::cell::Cell::new(0u32);
-    let probe = |qps: f64| -> ServingReport {
-        probes.set(probes.get() + 1);
+    let at = |qps: f64| {
         scenario
             .clone()
             .with_traffic(scenario.traffic().at_qps(qps))
-            .simulate(experiment, workload, scheme)
+    };
+    let probes = std::cell::Cell::new(0u32);
+    let probe = |qps: f64| -> bool {
+        probes.set(probes.get() + 1);
+        at(qps).meets_sla(experiment, workload, scheme)
     };
 
     // Saturation throughput of back-to-back full batches: the natural
@@ -1031,51 +1095,41 @@ pub fn max_sustainable_qps(
         .latency_us;
     let saturation_qps = max_batch as f64 / full_batch_service_us * 1e6;
 
+    // The one full simulation: the report at the rate the search returns
+    // with (the lightest probed rate when that is zero capacity).
+    let finish = |max_qps: f64, report_qps: f64| CapacityResult {
+        max_qps,
+        probes: probes.get(),
+        report: at(report_qps).simulate(experiment, workload, scheme),
+    };
+
     // Bracket the boundary: grow/shrink by powers of two until it flips.
     let (mut lo, mut hi);
-    let mut lo_report;
-    let first = probe(saturation_qps);
-    if first.meets_sla() {
+    if probe(saturation_qps) {
         lo = saturation_qps;
-        lo_report = first;
         hi = lo * 2.0;
-        loop {
-            let report = probe(hi);
-            if !report.meets_sla() {
-                break;
-            }
+        while probe(hi) {
             lo = hi;
-            lo_report = report;
             hi *= 2.0;
             if probes.get() > 64 {
                 // Effectively unbounded capacity for this scenario.
-                return CapacityResult {
-                    max_qps: lo,
-                    probes: probes.get(),
-                    report: lo_report,
-                };
+                return finish(lo, lo);
             }
         }
     } else {
         hi = saturation_qps;
         lo = hi / 2.0;
-        let mut lightest = first;
+        let mut lightest = saturation_qps;
         loop {
             if lo < 1e-3 {
                 // Even (near) zero load violates the SLA: a single batch's
                 // service latency already exceeds it.
-                return CapacityResult {
-                    max_qps: 0.0,
-                    probes: probes.get(),
-                    report: lightest,
-                };
+                return finish(0.0, lightest);
             }
-            let report = probe(lo);
-            if report.meets_sla() {
-                lo_report = report;
+            if probe(lo) {
                 break;
             }
-            lightest = report;
+            lightest = lo;
             lo /= 2.0;
         }
     }
@@ -1090,20 +1144,13 @@ pub fn max_sustainable_qps(
             }
         }
         let mid = (lo + hi) / 2.0;
-        let report = probe(mid);
-        if report.meets_sla() {
+        if probe(mid) {
             lo = mid;
-            lo_report = report;
         } else {
             hi = mid;
         }
     }
-
-    CapacityResult {
-        max_qps: lo,
-        probes: probes.get(),
-        report: lo_report,
-    }
+    finish(lo, lo)
 }
 
 /// One point of a [`stream_capacity_sweep`]: the capacity search's result

@@ -40,17 +40,34 @@ impl LatencyStats {
     /// Panics if `sorted` is empty.
     pub(crate) fn from_sorted(sorted: &[f64]) -> LatencyStats {
         assert!(!sorted.is_empty(), "latency statistics need samples");
-        let rank = |p: f64| -> f64 {
-            let r = (p / 100.0 * sorted.len() as f64).ceil() as usize;
-            sorted[r.clamp(1, sorted.len()) - 1]
-        };
+        let n = sorted.len();
         LatencyStats {
-            p50_us: rank(50.0),
-            p95_us: rank(95.0),
-            p99_us: rank(99.0),
-            max_us: sorted[sorted.len() - 1],
-            mean_us: sorted.iter().sum::<f64>() / sorted.len() as f64,
+            p50_us: sorted[nearest_rank(50.0, n) - 1],
+            p95_us: sorted[nearest_rank(95.0, n) - 1],
+            p99_us: sorted[Self::p99_rank(n) - 1],
+            max_us: sorted[n - 1],
+            mean_us: sorted.iter().sum::<f64>() / n as f64,
         }
+    }
+
+    /// The 1-based rank among `n` ascending samples that
+    /// [`LatencyStats::from_sorted`] reports as the p99.
+    fn p99_rank(n: usize) -> usize {
+        nearest_rank(99.0, n)
+    }
+
+    /// The SLA verdict of [`ServingReport::meets_sla`] (p99 within
+    /// `sla_us`), reached by counting instead of sorting: of `served`
+    /// latencies, `violations` exceed the SLA, and the p99 sample is within
+    /// it exactly when at least [`LatencyStats::p99_rank`] samples are.
+    /// With nothing served the report carries [`LatencyStats::zeroed`], and
+    /// so does this verdict.
+    pub(crate) fn p99_meets_sla(served: usize, violations: usize, sla_us: f64) -> bool {
+        debug_assert!(violations <= served);
+        if served == 0 {
+            return LatencyStats::zeroed().p99_us <= sla_us;
+        }
+        served - violations >= Self::p99_rank(served)
     }
 
     /// The all-zero distribution a scenario reports when admission control
@@ -64,6 +81,12 @@ impl LatencyStats {
             mean_us: 0.0,
         }
     }
+}
+
+/// The 1-based nearest rank of the `p`th percentile among `n >= 1`
+/// samples.
+fn nearest_rank(p: f64, n: usize) -> usize {
+    ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n)
 }
 
 /// One [`crate::FaultEvent`]'s footprint on a serving simulation: how many
@@ -707,6 +730,49 @@ mod tests {
             (single.p50_us, single.p99_us, single.max_us, single.mean_us),
             (7.25, 7.25, 7.25, 7.25)
         );
+    }
+
+    /// The counting verdict against the sorting one it replaces, on the
+    /// samples `latencies` with the SLA at `sla_us`.
+    fn assert_verdicts_agree(latencies: &[f64], sla_us: f64) {
+        let mut sorted = latencies.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let violations = latencies.iter().filter(|&&l| l > sla_us).count();
+        assert_eq!(
+            LatencyStats::p99_meets_sla(latencies.len(), violations, sla_us),
+            LatencyStats::from_sorted(&sorted).p99_us <= sla_us,
+            "n = {}, {violations} violations, SLA {sla_us}",
+            latencies.len()
+        );
+    }
+
+    #[test]
+    fn counting_verdict_matches_the_sorted_p99() {
+        for n in [1usize, 100, 101] {
+            // Latencies 1..=n in a scrambled order, with the SLA swept over
+            // every sample (a tie exactly at the SLA) and every midpoint.
+            let latencies: Vec<f64> = (0..n).map(|i| ((i * 37) % n + 1) as f64).collect();
+            for step in 0..=2 * n + 2 {
+                assert_verdicts_agree(&latencies, step as f64 / 2.0 + 0.25);
+                assert_verdicts_agree(&latencies, step as f64 / 2.0);
+            }
+            // Every latency tied exactly at the SLA: none violates.
+            assert_verdicts_agree(&vec![5.0; n], 5.0);
+            // All violating, and none violating.
+            assert_verdicts_agree(&latencies, 0.5);
+            assert_verdicts_agree(&latencies, n as f64);
+        }
+        // The boundary itself: with 100 samples (p99 rank 99) and with 101
+        // (p99 rank 100) one sample may violate, two may not.
+        let hundred: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert!(LatencyStats::p99_meets_sla(100, 1, 99.0));
+        assert!(!LatencyStats::p99_meets_sla(100, 2, 98.0));
+        assert_verdicts_agree(&hundred, 99.0);
+        assert_verdicts_agree(&hundred, 98.0);
+        assert!(LatencyStats::p99_meets_sla(101, 1, 100.0));
+        assert!(!LatencyStats::p99_meets_sla(101, 2, 99.0));
+        // Nothing served: the zeroed distribution's verdict.
+        assert!(LatencyStats::p99_meets_sla(0, 0, 1.0));
     }
 
     #[test]

@@ -49,7 +49,8 @@ impl Dataset {
     }
 
     /// The `dataset` object of the workload's cell-key axis. A mix is
-    /// encoded through its accessors, which expose both of its fields.
+    /// encoded through [`HeterogeneousMix::key_parts`], which destructures
+    /// it exhaustively.
     fn key_json(&self) -> Json {
         let mut doc = Json::object();
         match self {
@@ -57,8 +58,8 @@ impl Dataset {
                 doc.set("pattern", Json::Str(pattern.paper_name().to_string()));
             }
             Dataset::Mix(mix) => {
-                let composition = mix
-                    .composition()
+                let (name, composition) = mix.key_parts();
+                let composition = composition
                     .iter()
                     .map(|&(pattern, count)| {
                         Json::Arr(vec![
@@ -68,7 +69,7 @@ impl Dataset {
                     })
                     .collect();
                 let mut m = Json::object();
-                m.set("name", Json::Str(mix.name().to_string()));
+                m.set("name", Json::Str(name.to_string()));
                 m.set("composition", Json::Arr(composition));
                 doc.set("mix", m);
             }

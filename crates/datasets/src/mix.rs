@@ -106,6 +106,15 @@ impl HeterogeneousMix {
         &self.composition
     }
 
+    /// The fields a result cache's key encodes: the name and the
+    /// composition. It opens with an exhaustive destructuring, so a new
+    /// field fails the build here until it is returned or bound to `_` with
+    /// a reason.
+    pub fn key_parts(&self) -> (&str, &[(AccessPattern, u32)]) {
+        let HeterogeneousMix { name, composition } = self;
+        (name, composition)
+    }
+
     /// Total number of tables in the mix.
     pub fn total_tables(&self) -> u32 {
         self.composition.iter().map(|&(_, n)| n).sum()

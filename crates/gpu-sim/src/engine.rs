@@ -260,6 +260,25 @@ impl Simulator {
         &self.cfg
     }
 
+    /// The simulator's own settings that shape a result and so belong in a
+    /// result cache's key: today only the engine mode. It opens with an
+    /// exhaustive destructuring, so a new field fails the build here until
+    /// it is returned or bound to `_` with a reason.
+    pub fn key_settings(&self) -> EngineMode {
+        let Simulator {
+            mode,
+            // The device is the cluster root, encoded by the cluster axes.
+            cfg: _,
+            // Recycled scratch state: a run's result never depends on it.
+            ws: _,
+            // Test-only fault injection, never set outside the contract
+            // checker's own unit test.
+            #[cfg(all(test, feature = "contract-checks"))]
+                double_issue_sabotage: _,
+        } = self;
+        *mode
+    }
+
     /// Borrows the recycled workspace (fresh if this is the first run or
     /// another run on this simulator currently holds it).
     fn take_workspace(&self) -> Box<EngineWorkspace> {
